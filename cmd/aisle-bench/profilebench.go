@@ -24,8 +24,9 @@ type profModeResult struct {
 // the deterministic snapshot gates regeneration, the measured overlay and
 // folded stacks feed perf analysis.
 type profDetail struct {
-	prof      *prof.Profiler
-	runWallNs int64
+	prof       *prof.Profiler
+	runWallNs  int64
+	loopWallNs int64 // inside the event loop: the coverage denominator
 }
 
 const profBenchIters = 5
@@ -42,8 +43,11 @@ const (
 // trajectories must match bit-exactly — the profiler observes the
 // simulation, it never perturbs it — the enabled mode must stay within the
 // 2% allocation budget, and the profiler must attribute at least 90% of
-// the run's wall time to named subsystems. Writes BENCH_profile.json plus
-// a flamegraph-ready folded-stack artifact next to it.
+// the event loop's wall time to named subsystems (set-up outside the loop —
+// building the federation and 200 campaigns — is a fixed cost no region
+// covers, so it stays out of both sides of the ratio). Writes
+// BENCH_profile.json plus a flamegraph-ready folded-stack artifact next to
+// it.
 func runProfileBench(outPath string) error {
 	dis, _, err := measureProfMode(prof.Options{})
 	if err != nil {
@@ -65,9 +69,17 @@ func runProfileBench(outPath string) error {
 		return fmt.Errorf("enabled profiler adds %.2f%% allocs on the sched macro (budget %.1f%%)",
 			overhead["allocs_pct"], profMaxAllocOverheadPct)
 	}
-	coverage := float64(detail.prof.TotalWallNs()) / float64(detail.runWallNs)
+	// Events never nest, so sim.event's wall is exactly what the regions
+	// attribute inside the loop; regions entered during set-up are left out.
+	var attributed int64
+	for _, m := range detail.prof.Measured() {
+		if m.Site == prof.SiteSimEvent.String() {
+			attributed = m.WallNs
+		}
+	}
+	coverage := float64(attributed) / float64(detail.loopWallNs)
 	if coverage < profMinWallCoverage {
-		return fmt.Errorf("profiler attributes %.1f%% of macro wall time (floor %.0f%%)",
+		return fmt.Errorf("profiler attributes %.1f%% of the macro's event-loop wall time (floor %.0f%%)",
 			coverage*100, profMinWallCoverage*100)
 	}
 
@@ -94,7 +106,8 @@ func runProfileBench(outPath string) error {
 		Add(bench.Metric{Name: "wall_coverage", Value: coverage,
 			Better: bench.Higher, AbsNoise: 1 - profMinWallCoverage}).
 		Add(infoMetric("run_wall_ns", "ns", float64(detail.runWallNs))).
-		Add(infoMetric("attributed_wall_ns", "ns", float64(detail.prof.TotalWallNs())))
+		Add(infoMetric("loop_wall_ns", "ns", float64(detail.loopWallNs))).
+		Add(infoMetric("attributed_wall_ns", "ns", float64(attributed)))
 	// Per-site aggregates from the deterministic snapshot: region and
 	// sample counts and virtual time reproduce bit-exactly at a fixed
 	// seed, so they gate regeneration; the measured overlay is wall-
@@ -139,7 +152,7 @@ func runProfileBench(outPath string) error {
 	}
 	fmt.Printf("  overhead  wall %+.2f%%  allocs %+.2f%%  virtual makespan +0%% (bit-exact)\n",
 		overhead["wall_pct"], overhead["allocs_pct"])
-	fmt.Printf("  coverage  %.1f%% of run wall attributed across %d live sites\n",
+	fmt.Printf("  coverage  %.1f%% of event-loop wall attributed across %d live sites\n",
 		coverage*100, len(snap.Sites))
 	return nil
 }
@@ -167,7 +180,8 @@ func measureProfMode(opts prof.Options) (profModeResult, *profDetail, error) {
 		if i == 0 {
 			out.VirtualMakespanS = (res.Finish - res.Start).Seconds()
 			if res.Prof != nil {
-				detail = &profDetail{prof: res.Prof, runWallNs: time.Since(iterStart).Nanoseconds()}
+				detail = &profDetail{prof: res.Prof, runWallNs: time.Since(iterStart).Nanoseconds(),
+					loopWallNs: res.LoopWall.Nanoseconds()}
 			}
 		}
 	}

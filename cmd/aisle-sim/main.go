@@ -249,6 +249,15 @@ func spineLines(n *aisle.Network) string {
 	fmt.Fprintf(&b, "spine: sim=%d net=%d/%d bus=%d sched=%d merged=%d spans=%d(-%d)\n",
 		p.SimEvents, p.NetSent, p.NetDelivered, p.BusDelivered,
 		p.SchedDispatched, p.KnowledgeMerged, p.SpansHeld, p.SpansDropped)
+	// The scheduler's waste ratios, from its own exact counters: how many
+	// site pumps and route probes each dispatch cost.
+	count := func(name string) float64 { return float64(n.Metrics.Counter(name).Value()) }
+	pumps, probes, d := count("sched.pumps"), count("sched.route_probes"), count("sched.dispatched")
+	fmt.Fprintf(&b, "sched: pumps=%.0f probes=%.0f dispatched=%.0f", pumps, probes, d)
+	if d > 0 {
+		fmt.Fprintf(&b, " per dispatch: pumps=%.1f probes=%.1f", pumps/d, probes/d)
+	}
+	b.WriteByte('\n')
 	for _, s := range p.Sites {
 		fmt.Fprintf(&b, "  prof %-16s count=%-8d samples=%-7d virtual=%s\n",
 			s.Site, s.Count, s.Samples, time.Duration(s.VirtualNs))

@@ -137,7 +137,7 @@ func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, e
 	}
 	// Mirror the serial path's failure mode: a kind absent from the
 	// federation directory fails the campaign rather than parking jobs.
-	if _, ok := c.site.FindInstrument(c.cfg.SynthKind, nil, "throughput_per_hr"); !ok {
+	if !c.site.Registry.HasType(c.cfg.SynthKind) {
 		c.finish(fmt.Errorf("%w: kind %s at %s", ErrNoInstrument, c.cfg.SynthKind, c.cfg.Site))
 		return
 	}

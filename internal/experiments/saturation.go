@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/aisle-sim/aisle/internal/core"
 	"github.com/aisle-sim/aisle/internal/instrument"
@@ -52,6 +53,10 @@ type SaturationResult struct {
 	Health *obs.Engine
 	// Prof is the run's spine profiler when Spec.Prof enabled it.
 	Prof *prof.Profiler
+	// LoopWall is the host time spent inside the event loop (the RunFor
+	// calls), leaving out federation and campaign set-up: the denominator of
+	// the profiler's wall-coverage gate.
+	LoopWall time.Duration
 }
 
 // RunSaturation drives the spec to completion and returns the virtual
@@ -72,11 +77,13 @@ func RunSaturation(spec SaturationSpec) (SaturationResult, error) {
 				n.Eng, n.Rnd, fmt.Sprintf("flow-%d-%s", k, id), string(id), twin.Perovskite{}))
 		}
 	}
+	loopStart := time.Now()
 	if err := n.RunFor(3 * sim.Minute); err != nil {
 		return SaturationResult{}, err
 	}
 	res := SaturationResult{Start: n.Eng.Now(), Finish: n.Eng.Now(),
-		Tracer: n.Tracer, Metrics: n.Metrics, Health: n.Health, Prof: n.Prof}
+		Tracer: n.Tracer, Metrics: n.Metrics, Health: n.Health, Prof: n.Prof,
+		LoopWall: time.Since(loopStart)}
 	var failure error
 	for c := 0; c < spec.Campaigns; c++ {
 		n.RunCampaign(core.CampaignConfig{
@@ -99,11 +106,13 @@ func RunSaturation(spec SaturationSpec) (SaturationResult, error) {
 		})
 	}
 	deadline := n.Eng.Now() + 60*sim.Day
+	loopStart = time.Now()
 	for res.Done < spec.Campaigns && n.Eng.Now() < deadline {
 		if err := n.RunFor(sim.Hour); err != nil {
 			return res, err
 		}
 	}
+	res.LoopWall += time.Since(loopStart)
 	if failure != nil {
 		return res, failure
 	}

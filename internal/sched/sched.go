@@ -29,9 +29,12 @@
 package sched
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"math"
+	"slices"
 	"strings"
 
 	"github.com/aisle-sim/aisle/internal/bus"
@@ -287,6 +290,7 @@ type tenantQ struct {
 	cfg   TenantConfig
 	jobs  []*queuedJob
 	vtime float64
+	class int // effective class, stamped by the pump in progress
 	// waitHist is the tenant's labelled queue-wait series,
 	// sched.wait_s{site=...,tenant=...}, resolved once at registration so
 	// the dispatch path pays no per-event name lookup.
@@ -302,6 +306,9 @@ type siteSched struct {
 	bind    SiteBinding
 	met     *telemetry.Registry
 	tenants map[string]*tenantQ
+	// active is the service order pumpSite walks: exactly the tenants with
+	// queued jobs, sorted by fairOrder; enqueue/dequeued keep it so.
+	active []*tenantQ
 	// depth is the site's labelled queue-depth gauge, cached like waitHist.
 	depth *telemetry.Gauge
 }
@@ -312,6 +319,54 @@ func (ss *siteSched) queueLen() int {
 		n += len(t.jobs)
 	}
 	return n
+}
+
+// fairOrder compares tenants by (vtime, id): furthest behind its share
+// first, ids — unique within a site — breaking ties, so the order is total.
+func fairOrder(a, b *tenantQ) int {
+	if c := cmp.Compare(a.vtime, b.vtime); c != 0 {
+		return c
+	}
+	return strings.Compare(a.cfg.ID, b.cfg.ID)
+}
+
+// sink restores the order after the tenant at index i advanced its vtime:
+// the successors now ahead of it each move up one place.
+func (ss *siteSched) sink(i int) {
+	t := ss.active[i]
+	for ; i+1 < len(ss.active) && fairOrder(ss.active[i+1], t) < 0; i++ {
+		ss.active[i] = ss.active[i+1]
+	}
+	ss.active[i] = t
+}
+
+// byID snapshots the active tenants in id order, the deterministic scan
+// order of expiry and stealing (which edit the active order as they go).
+func (ss *siteSched) byID() []*tenantQ {
+	ts := slices.Clone(ss.active)
+	slices.SortFunc(ts, func(a, b *tenantQ) int { return strings.Compare(a.cfg.ID, b.cfg.ID) })
+	return ts
+}
+
+// enqueue appends a job to its tenant's FIFO, entering the tenant into the
+// service order if it was idle.
+func (s *Scheduler) enqueue(ss *siteSched, t *tenantQ, qj *queuedJob) {
+	t.jobs = append(t.jobs, qj)
+	if len(t.jobs) == 1 {
+		i, _ := slices.BinarySearchFunc(ss.active, t, fairOrder)
+		ss.active = slices.Insert(ss.active, i, t)
+	}
+	s.queued++
+}
+
+// dequeued settles the count after n jobs left t's FIFO and retires the
+// tenant from the service order once it is empty.
+func (s *Scheduler) dequeued(ss *siteSched, t *tenantQ, n int) {
+	s.queued -= n
+	if n > 0 && len(t.jobs) == 0 {
+		i := slices.Index(ss.active, t)
+		ss.active = slices.Delete(ss.active, i, i+1)
+	}
 }
 
 // maxWeight bounds tenant weights so no share dominates unboundedly.
@@ -329,7 +384,7 @@ type Scheduler struct {
 	opts    Options
 
 	sites    map[netsim.SiteID]*siteSched
-	order    []netsim.SiteID
+	order    []*siteSched   // every site, sorted by ID: the deterministic sweep order
 	inflight map[string]int // dispatched-but-incomplete per instrument instance
 	transit  []*queuedJob   // stolen jobs riding the WAN between site queues
 	// flights tracks dispatched jobs in dispatch order for the recovery
@@ -341,6 +396,21 @@ type Scheduler struct {
 
 	pumpQueued bool
 	stopTicker func()
+
+	// pumpRef is the test seam the differential oracle (sched_ref_test.go)
+	// installs the old rebuild-and-sort pump through; nil outside tests.
+	pumpRef func(*siteSched)
+
+	// blocked is the pump in progress's memo: one job per requirement route
+	// already failed for. pumpSite resets it and reuses the backing array.
+	blocked []*Job
+
+	// Hot-path metric handles, resolved once in New: a by-name lookup is an
+	// RWMutex and a map probe per event.
+	submittedC, dispatchedC, remoteC, completedC, failuresC, expiredC *telemetry.Counter
+	pumpsC, probesC                                                   *telemetry.Counter
+	waitH                                                             *telemetry.Histogram
+	depthG, inflightG, utilG                                          *telemetry.Gauge
 
 	// requeueC caches the sched.requeues{reason=...} counters; the reason
 	// vocabulary is tiny, so each canonical Key is built at most once.
@@ -380,8 +450,8 @@ func (s *Scheduler) observe(kind DecisionKind, qj *queuedJob, reason string) {
 }
 
 // New builds a scheduler on the engine, network, and bus fabric, reporting
-// into the given telemetry registry. Gauges are registered eagerly so the
-// metric surface is visible before traffic flows. The stream feeds retry
+// into the given telemetry registry. Its metrics are registered eagerly, so
+// the metric surface is visible before traffic flows. The stream feeds retry
 // backoff jitter only — a run with no failures draws nothing from it.
 func New(eng *sim.Engine, net *netsim.Network, fab *bus.Fabric,
 	metrics *telemetry.Registry, rnd *rng.Stream, opts Options) *Scheduler {
@@ -399,25 +469,35 @@ func New(eng *sim.Engine, net *netsim.Network, fab *bus.Fabric,
 		opts:     opts,
 		sites:    make(map[netsim.SiteID]*siteSched),
 		inflight: make(map[string]int),
+
+		submittedC:  metrics.Counter("sched.submitted"),
+		dispatchedC: metrics.Counter("sched.dispatched"),
+		remoteC:     metrics.Counter("sched.remote_dispatches"),
+		completedC:  metrics.Counter("sched.completed"),
+		failuresC:   metrics.Counter("sched.failures"),
+		expiredC:    metrics.Counter("sched.expired"),
+		pumpsC:      metrics.Counter("sched.pumps"),
+		probesC:     metrics.Counter("sched.route_probes"),
+		waitH:       metrics.Histogram("sched.wait_s"),
+		depthG:      metrics.Gauge("sched.queue_depth"),
+		inflightG:   metrics.Gauge("sched.inflight"),
+		utilG:       metrics.Gauge("sched.utilization"),
 	}
-	metrics.Gauge("sched.queue_depth")
-	metrics.Gauge("sched.inflight")
-	metrics.Gauge("sched.utilization")
-	metrics.Histogram("sched.wait_s")
 	metrics.Counter("sched.steals")
 	return s
 }
 
 // AddSite registers a federation site with the scheduler.
 func (s *Scheduler) AddSite(b SiteBinding) {
-	s.sites[b.ID] = &siteSched{
+	ss := &siteSched{
 		bind:    b,
 		met:     s.metrics,
 		tenants: make(map[string]*tenantQ),
 		depth:   s.metrics.Gauge(telemetry.Key("sched.queue_depth", "site", string(b.ID))),
 	}
-	s.order = append(s.order, b.ID)
-	sort.Slice(s.order, func(i, j int) bool { return s.order[i] < s.order[j] })
+	s.sites[b.ID] = ss
+	s.order = append(s.order, ss)
+	slices.SortFunc(s.order, func(a, b *siteSched) int { return cmp.Compare(a.bind.ID, b.bind.ID) })
 }
 
 // Start launches the background sweep that expires overdue queued jobs
@@ -494,8 +574,8 @@ func (s *Scheduler) InFlight() int { return s.flying }
 // instruments times the per-instrument in-flight cap.
 func (s *Scheduler) Capacity() int {
 	n := 0
-	for _, id := range s.order {
-		n += s.sites[id].bind.Fleet.Size()
+	for _, ss := range s.order {
+		n += ss.bind.Fleet.Size()
 	}
 	return n * s.opts.MaxInFlightPerInstrument
 }
@@ -526,9 +606,8 @@ func (s *Scheduler) Submit(j Job, cb func(instrument.Result, error)) {
 	if j.Trace.Enabled() {
 		qj.qspan, qj.qctx = j.Trace.Start(qj.enqueued, string(j.Origin), trace.KindSchedQueue, j.Kind)
 	}
-	t.jobs = append(t.jobs, qj)
-	s.queued++
-	s.metrics.Counter("sched.submitted").Inc()
+	s.enqueue(ss, t, qj)
+	s.submittedC.Inc()
 	s.observe(DecisionSubmit, qj, "")
 	s.gauges()
 	s.schedulePump()
@@ -549,8 +628,8 @@ func (s *Scheduler) schedulePump() {
 
 // pumpAll drives every site dispatcher in deterministic order.
 func (s *Scheduler) pumpAll() {
-	for _, id := range s.order {
-		s.pumpSite(s.sites[id])
+	for _, ss := range s.order {
+		s.pumpSite(ss)
 	}
 	s.gauges()
 }
@@ -558,64 +637,62 @@ func (s *Scheduler) pumpAll() {
 // pumpSite dispatches as much of the site's queue as routing allows, then
 // considers stealing if the queue ran dry while local capacity idles.
 //
-// Service order is priority then weighted fair share: active tenants are
-// grouped by effective class (base class plus aging) and the classes are
-// tried from highest to lowest; within a class, tenants go in virtual-time
-// order (furthest behind their share first), and each dispatch advances
-// the winner's vtime by 1/weight — the deficit-round-robin discipline
-// realized as strides, which stays exact when probes fail. An unroutable
-// head job drops its tenant for the rest of the pump without advancing
-// vtime, and a lower class backfills capacity a blocked higher class
-// cannot use — a blocked kind never idles the fleet, and the blocked
-// tenant keeps its place in the fair order (plus aging) for next time.
+// Service order is priority then weighted fair share: the effective classes
+// (base class plus aging) are tried from highest to lowest; within a class,
+// tenants go in virtual-time order (furthest behind their share first), and
+// each dispatch advances the winner's vtime by 1/weight — the
+// deficit-round-robin discipline realized as strides, which stays exact
+// when probes fail. An unroutable head job drops its tenant for the rest of
+// the pump without advancing vtime, and a lower class backfills capacity a
+// blocked higher class cannot use — a blocked kind never idles the fleet,
+// and the blocked tenant keeps its place in the fair order (plus aging) for
+// next time.
 //
-// The order is built once per pump, not per dispatch: virtual time is
-// frozen inside the pump (so effective classes cannot change) and
-// dispatches only consume capacity (so a blocked head stays blocked);
-// only the winner's position moves, by one sorted reinsertion.
+// Nothing is built or sorted: each class present is one walk of the site's
+// persistent fair order, classes stamped once up front (virtual time is
+// frozen inside the pump, so the stamps hold), and a winner with work left
+// sinks from the cursor to its new place, where the walk meets it again.
+// Nor is a blocked requirement probed twice: dispatches only consume
+// capacity, so once route fails for a (kind, MinCaps) every later head
+// asking the same is skipped off the memo — against a saturated fleet, one
+// probe per distinct requirement and no allocation.
 func (s *Scheduler) pumpSite(ss *siteSched) {
-	ids := make([]string, 0, len(ss.tenants))
-	for id, t := range ss.tenants {
-		if len(t.jobs) > 0 {
-			ids = append(ids, id)
-		}
+	s.pumpsC.Inc()
+	if s.pumpRef != nil {
+		s.pumpRef(ss)
+		return
 	}
-	sort.Strings(ids)
-	byClass := make(map[int][]*tenantQ)
-	var classes []int
-	for _, id := range ids {
-		t := ss.tenants[id]
-		c := s.effClass(t)
-		if _, ok := byClass[c]; !ok {
-			classes = append(classes, c)
-		}
-		byClass[c] = append(byClass[c], t)
+	clear(s.blocked) // the last pump's jobs may be long gone: let them go
+	s.blocked = s.blocked[:0]
+	const none = math.MinInt
+	cl := none
+	for _, t := range ss.active {
+		t.class = s.effClass(t)
+		cl = max(cl, t.class)
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(classes)))
-	before := func(a, b *tenantQ) bool {
-		if a.vtime != b.vtime {
-			return a.vtime < b.vtime
-		}
-		return a.cfg.ID < b.cfg.ID
-	}
-	for _, cl := range classes {
-		group := byClass[cl]
-		sort.SliceStable(group, func(i, j int) bool { return before(group[i], group[j]) })
-		for len(group) > 0 {
-			t := group[0]
-			group = group[1:]
-			if !s.tryDispatch(ss, t) {
-				continue // blocked for the rest of this pump
+	for cl != none {
+		next := none
+		for i := 0; i < len(ss.active); {
+			switch t := ss.active[i]; {
+			case t.class != cl:
+				if t.class < cl {
+					next = max(next, t.class)
+				}
+				i++
+			case !s.tryDispatch(ss, t):
+				i++ // blocked for the rest of this pump
+			default:
+				// An emptied winner has left the order and its successor
+				// now sits at i; either way the cursor stays.
+				t.vtime += 1 / t.cfg.Weight
+				if len(t.jobs) > 0 {
+					ss.sink(i)
+				}
 			}
-			t.vtime += 1 / t.cfg.Weight
-			if len(t.jobs) == 0 {
-				continue
-			}
-			i := sort.Search(len(group), func(j int) bool { return before(t, group[j]) })
-			group = append(group[:i], append([]*tenantQ{t}, group[i:]...)...)
 		}
+		cl = next
 	}
-	if ss.queueLen() == 0 {
+	if len(ss.active) == 0 {
 		s.maybeSteal(ss)
 	}
 }
@@ -642,14 +719,9 @@ func (ss *siteSched) syncVtime(t *tenantQ) {
 	if len(t.jobs) > 0 {
 		return
 	}
-	floor, ok := 0.0, false
-	for _, o := range ss.tenants {
-		if o != t && len(o.jobs) > 0 && (!ok || o.vtime < floor) {
-			floor, ok = o.vtime, true
-		}
-	}
-	if ok && t.vtime < floor {
-		t.vtime = floor
+	// t is idle, so it is not in the active order: the head is the floor.
+	if len(ss.active) > 0 && t.vtime < ss.active[0].vtime {
+		t.vtime = ss.active[0].vtime
 	}
 }
 
@@ -661,29 +733,23 @@ func (ss *siteSched) syncVtime(t *tenantQ) {
 func (s *Scheduler) expireQueued() {
 	now := s.eng.Now()
 	var expired []*queuedJob
-	for _, id := range s.order {
-		ss := s.sites[id]
-		ids := make([]string, 0, len(ss.tenants))
-		for tid := range ss.tenants {
-			ids = append(ids, tid)
-		}
-		sort.Strings(ids)
-		for _, tid := range ids {
-			t := ss.tenants[tid]
+	for _, ss := range s.order {
+		for _, t := range ss.byID() {
 			keep := t.jobs[:0]
 			for _, qj := range t.jobs {
 				if now-qj.enqueued >= qj.job.Timeout {
-					s.queued--
 					expired = append(expired, qj)
 					continue
 				}
 				keep = append(keep, qj)
 			}
+			n := len(t.jobs) - len(keep)
 			t.jobs = keep
+			s.dequeued(ss, t, n)
 		}
 	}
 	for _, qj := range expired {
-		s.metrics.Counter("sched.expired").Inc()
+		s.expiredC.Inc()
 		qj.qspan.SetStr("outcome", "expired")
 		qj.qctx.Finish(&qj.qspan, now)
 		s.observe(DecisionExpire, qj, "timeout")
@@ -704,11 +770,12 @@ func (s *Scheduler) expireQueued() {
 // their timeouts.
 func (s *Scheduler) ReleaseTenant(id string) {
 	var canceled []*queuedJob
-	for _, sid := range s.order {
-		ss := s.sites[sid]
+	for _, ss := range s.order {
 		if t := ss.tenants[id]; t != nil {
 			canceled = append(canceled, t.jobs...)
-			s.queued -= len(t.jobs)
+			n := len(t.jobs)
+			t.jobs = nil
+			s.dequeued(ss, t, n)
 			delete(ss.tenants, id)
 		}
 	}
@@ -760,25 +827,37 @@ func (s *Scheduler) tryDispatch(ss *siteSched, t *tenantQ) bool {
 	}
 	if now-qj.enqueued >= qj.job.Timeout {
 		t.jobs = t.jobs[1:]
-		s.queued--
+		s.dequeued(ss, t, 1)
 		s.failExpired(qj, now)
 		return true
 	}
+	if s.isBlocked(&qj.job) {
+		return false
+	}
 	rec, ok := s.route(ss, qj.job)
 	if !ok {
+		s.blocked = append(s.blocked, &qj.job)
 		return false
 	}
 	t.jobs = t.jobs[1:]
-	s.queued--
+	s.dequeued(ss, t, 1)
 	s.dispatch(ss, t, qj, rec)
 	return true
+}
+
+// isBlocked reports whether route already failed in this pump for a job
+// with exactly this one's kind and capability floors.
+func (s *Scheduler) isBlocked(j *Job) bool {
+	return slices.ContainsFunc(s.blocked, func(b *Job) bool {
+		return b.Kind == j.Kind && maps.Equal(b.MinCaps, j.MinCaps)
+	})
 }
 
 // failExpired delivers the terminal ErrExpired outcome for a job that
 // outlived its Timeout in queue. The callback runs on a fresh event so
 // resubmissions never recurse into the pump that found the expiry.
 func (s *Scheduler) failExpired(qj *queuedJob, now sim.Time) {
-	s.metrics.Counter("sched.expired").Inc()
+	s.expiredC.Inc()
 	qj.qspan.SetStr("outcome", "expired")
 	qj.qctx.Finish(&qj.qspan, now)
 	s.observe(DecisionExpire, qj, "timeout")
@@ -843,6 +922,7 @@ func (s *Scheduler) instrumentFor(rec *discovery.Record) *instrument.Instrument 
 func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, bool) {
 	r := s.Prof.Enter(prof.SiteSchedRoute)
 	defer r.End()
+	s.probesC.Inc()
 	var best *discovery.Record
 	bestScore := sim.Time(0)
 	ss.bind.Registry.BrowseFunc(j.Kind, func(rec *discovery.Record) bool {
@@ -894,13 +974,13 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 	}
 	wait := s.eng.Now() - qj.enqueued
 	s.Prof.Sample(prof.SiteSchedRoute, wait.Std(), qj.job.Trace.TraceID())
-	s.metrics.Histogram("sched.wait_s").Observe(wait.Seconds())
+	s.waitH.Observe(wait.Seconds())
 	if t.waitHist != nil {
 		t.waitHist.Observe(wait.Seconds())
 	}
-	s.metrics.Counter("sched.dispatched").Inc()
+	s.dispatchedC.Inc()
 	if rec.Addr.Site != ss.bind.ID {
-		s.metrics.Counter("sched.remote_dispatches").Inc()
+		s.remoteC.Inc()
 	}
 	s.observe(DecisionDispatch, qj, "")
 	s.gauges()
@@ -953,18 +1033,18 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 		s.endFlight(qj)
 		qj.dctx.Finish(&qj.dspan, s.eng.Now())
 		if err != nil && qj.attempt < qj.job.MaxRetries {
-			s.metrics.Counter("sched.failures").Inc()
+			s.failuresC.Inc()
 			s.retry(qj, err)
 		} else if err != nil {
-			s.metrics.Counter("sched.failures").Inc()
+			s.failuresC.Inc()
 			s.observe(DecisionFail, qj, err.Error())
 			qj.cb(instrument.Result{}, err)
 		} else if res, ok := result.(instrument.Result); ok {
-			s.metrics.Counter("sched.completed").Inc()
+			s.completedC.Inc()
 			s.observe(DecisionComplete, qj, "")
 			qj.cb(res, nil)
 		} else {
-			s.metrics.Counter("sched.failures").Inc()
+			s.failuresC.Inc()
 			s.observe(DecisionFail, qj, "unexpected reply type")
 			qj.cb(instrument.Result{}, fmt.Errorf("sched: unexpected reply type %T", result))
 		}
@@ -1121,8 +1201,7 @@ func (s *Scheduler) requeue(qj *queuedJob, reason, kind string, backoff sim.Time
 		qj.qspan.SetStr("reason", reason)
 		qj.qspan.SetAttr("attempt", float64(qj.attempt+qj.reroutes))
 	}
-	t.jobs = append(t.jobs, qj)
-	s.queued++
+	s.enqueue(ss, t, qj)
 	if backoff > 0 {
 		s.eng.Schedule(backoff, func() { s.schedulePump() })
 	} else {
@@ -1157,8 +1236,7 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 	}
 	var victim *siteSched
 	deepest := s.opts.StealThreshold - 1
-	for _, id := range s.order {
-		o := s.sites[id]
+	for _, o := range s.order {
 		if o == ss {
 			continue
 		}
@@ -1198,8 +1276,7 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 				t = ss.tenant(qj.cfg)
 			}
 			ss.syncVtime(t)
-			t.jobs = append(t.jobs, qj)
-			s.queued++
+			s.enqueue(ss, t, qj)
 		}
 		s.pumpSite(ss)
 		s.gauges()
@@ -1209,18 +1286,11 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 // stealFrom removes up to want jobs from the victim's queue tails,
 // round-robin across its tenants, skipping kinds the thief cannot see.
 func (s *Scheduler) stealFrom(victim, thief *siteSched, want int) []*queuedJob {
-	var ids []string
-	for id, t := range victim.tenants {
-		if len(t.jobs) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
+	ts := victim.byID()
 	var out []*queuedJob
 	for len(out) < want {
 		took := false
-		for _, id := range ids {
-			t := victim.tenants[id]
+		for _, t := range ts {
 			if len(t.jobs) == 0 || len(out) >= want {
 				continue
 			}
@@ -1229,7 +1299,7 @@ func (s *Scheduler) stealFrom(victim, thief *siteSched, want int) []*queuedJob {
 				continue
 			}
 			t.jobs = t.jobs[:len(t.jobs)-1]
-			s.queued--
+			s.dequeued(victim, t, 1)
 			out = append(out, qj)
 			took = true
 		}
@@ -1243,13 +1313,12 @@ func (s *Scheduler) stealFrom(victim, thief *siteSched, want int) []*queuedJob {
 // gauges refreshes the point-in-time scheduler metrics, including each
 // site's labelled queue depth (pointers cached at AddSite).
 func (s *Scheduler) gauges() {
-	s.metrics.Gauge("sched.queue_depth").Set(float64(s.queued))
-	s.metrics.Gauge("sched.inflight").Set(float64(s.flying))
+	s.depthG.Set(float64(s.queued))
+	s.inflightG.Set(float64(s.flying))
 	if c := s.Capacity(); c > 0 {
-		s.metrics.Gauge("sched.utilization").Set(float64(s.flying) / float64(c))
+		s.utilG.Set(float64(s.flying) / float64(c))
 	}
-	for _, id := range s.order {
-		ss := s.sites[id]
+	for _, ss := range s.order {
 		ss.depth.Set(float64(ss.queueLen()))
 	}
 }

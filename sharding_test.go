@@ -52,3 +52,20 @@ func TestShardedSpineMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteProbesPerDispatchBounded holds the scheduler's waste ratio on a
+// saturated federation (4 sites, 40 campaigns, 4 experiments each in
+// flight): a pump probes once per distinct blocked requirement, not once per
+// queued tenant, so probes stay a small multiple of dispatches however many
+// tenants queue: 3.5 here, where the probe-every-head pump made 24.6.
+func TestRouteProbesPerDispatchBounded(t *testing.T) {
+	res, _ := runSaturationSnapshot(t, 4, false)
+	probes := res.Metrics.Counter("sched.route_probes").Value()
+	dispatched := res.Metrics.Counter("sched.dispatched").Value()
+	if dispatched == 0 || res.Metrics.Counter("sched.pumps").Value() == 0 {
+		t.Fatalf("nothing went through the scheduler: %d dispatched", dispatched)
+	}
+	if ratio := float64(probes) / float64(dispatched); ratio > 8 {
+		t.Errorf("sched.route_probes / sched.dispatched = %d / %d = %.1f, want <= 8", probes, dispatched, ratio)
+	}
+}
