@@ -46,6 +46,11 @@ type Link struct {
 	// busyUntil tracks FIFO serialization per direction, keyed 0/1 by
 	// direction (a->b / b->a).
 	busyUntil [2]sim.Time
+	// downErr caches the refusal returned while the link is down, per
+	// direction: a fault window refuses every send that crosses it. It is
+	// made at the first refusal, so a link that never fails stays the size
+	// it was.
+	downErr *[2]error
 }
 
 // Up reports whether the link is currently passing traffic.
@@ -358,7 +363,13 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 	}
 	if !link.up {
 		n.linkDownC.Inc()
-		return fmt.Errorf("%w: %s <-> %s", ErrLinkDown, msg.From, msg.To)
+		if link.downErr == nil {
+			link.downErr = new([2]error)
+		}
+		if link.downErr[dir] == nil {
+			link.downErr[dir] = fmt.Errorf("%w: %s <-> %s", ErrLinkDown, msg.From, msg.To)
+		}
+		return link.downErr[dir]
 	}
 
 	if link.Loss > 0 && n.rnd.Bool(link.Loss) {

@@ -97,6 +97,32 @@ func TestLinkDown(t *testing.T) {
 	}
 }
 
+// Every refusal on a down link reads the same in its direction, names the
+// sender first, and still matches ErrLinkDown — including after a repair
+// and a second cut.
+func TestLinkDownErrorPerDirection(t *testing.T) {
+	_, n := testNet(t)
+	n.AddSite("a").Firewall.AllowAll()
+	n.AddSite("b").Firewall.AllowAll()
+	n.Connect("a", "b", Link{Latency: sim.Millisecond})
+	for round := 0; round < 2; round++ {
+		n.SetLinkUp("a", "b", false)
+		for _, c := range []struct{ from, to SiteID }{{"a", "b"}, {"b", "a"}} {
+			want := "netsim: link down: " + string(c.from) + " <-> " + string(c.to)
+			for i := 0; i < 2; i++ {
+				err := n.Send(Message{From: c.from, To: c.to}, func(Message) {})
+				if !errors.Is(err, ErrLinkDown) || err.Error() != want {
+					t.Fatalf("round %d send %d %s->%s: err = %v, want %q", round, i, c.from, c.to, err, want)
+				}
+			}
+		}
+		n.SetLinkUp("a", "b", true)
+		if err := n.Send(Message{From: "b", To: "a"}, func(Message) {}); err != nil {
+			t.Fatalf("send after repair: %v", err)
+		}
+	}
+}
+
 func TestFirewallDefaultDeny(t *testing.T) {
 	_, n := testNet(t)
 	n.AddSite("a")

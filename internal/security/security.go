@@ -15,7 +15,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sort"
+	"hash"
+	"slices"
+	"strconv"
 	"strings"
 
 	"github.com/aisle-sim/aisle/internal/bus"
@@ -54,36 +56,72 @@ type Token struct {
 	Sig        []byte
 }
 
-// canonical returns the deterministic byte string that is signed.
-func (t *Token) canonical() []byte {
-	keys := make([]string, 0, len(t.Attributes))
+// signer computes token signatures under one issuer key. It owns every
+// buffer a signature needs, so signing allocates only while they grow. The
+// HMAC state is keyed at first use: a signer costs nothing until it signs.
+type signer struct {
+	key  []byte
+	mac  hash.Hash
+	buf  []byte   // canonical bytes of the token being signed
+	keys []string // its attribute names, sorted
+	sum  [sha256.Size]byte
+}
+
+// canonical returns the deterministic byte string that is signed, rebuilt
+// from t's fields as they are now. It is valid until the next call.
+func (s *signer) canonical(t *Token) []byte {
+	keys := s.keys[:0]
 	for k := range t.Attributes {
 		keys = append(keys, k)
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	fmt.Fprintf(&b, "sub=%s|iss=%s|aud=%s|iat=%d|exp=%d",
-		t.Subject, t.Issuer, t.Audience, t.IssuedAt, t.ExpiresAt)
+	slices.Sort(keys)
+	b := append(s.buf[:0], "sub="...)
+	b = append(b, t.Subject...)
+	b = append(b, "|iss="...)
+	b = append(b, t.Issuer...)
+	b = append(b, "|aud="...)
+	b = append(b, t.Audience...)
+	b = append(b, "|iat="...)
+	b = strconv.AppendInt(b, int64(t.IssuedAt), 10)
+	b = append(b, "|exp="...)
+	b = strconv.AppendInt(b, int64(t.ExpiresAt), 10)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%s", k, t.Attributes[k])
+		b = append(b, '|')
+		b = append(b, k...)
+		b = append(b, '=')
+		b = append(b, t.Attributes[k]...)
 	}
-	return []byte(b.String())
+	s.keys, s.buf = keys, b
+	return b
+}
+
+// sign returns the HMAC-SHA256 of t's canonical bytes. The result is valid
+// until the next call. Reset restores the keyed state hmac saved at its
+// first Reset, so nothing is re-keyed per signature.
+func (s *signer) sign(t *Token) []byte {
+	if s.mac == nil {
+		s.mac = hmac.New(sha256.New, s.key)
+	}
+	s.mac.Reset()
+	s.mac.Write(s.canonical(t))
+	return s.mac.Sum(s.sum[:0])
 }
 
 // IdentityProvider issues tokens for one site's principals.
 type IdentityProvider struct {
-	site netsim.SiteID
-	key  []byte
-	eng  *sim.Engine
+	site   netsim.SiteID
+	eng    *sim.Engine
+	signer signer
 
 	// TokenTTL bounds credential lifetime; short TTLs are what make the
 	// authentication "continuous". Default 30s.
 	TokenTTL sim.Time
 }
 
-// NewIdentityProvider creates an IdP for site with the given signing key.
+// NewIdentityProvider creates an IdP for site with the given signing key,
+// which must not be modified afterwards.
 func NewIdentityProvider(eng *sim.Engine, site netsim.SiteID, key []byte) *IdentityProvider {
-	return &IdentityProvider{site: site, key: key, eng: eng, TokenTTL: 30 * sim.Second}
+	return &IdentityProvider{site: site, eng: eng, signer: signer{key: key}, TokenTTL: 30 * sim.Second}
 }
 
 // Site reports the site this IdP serves.
@@ -99,19 +137,29 @@ func (p *IdentityProvider) Issue(principal Principal, audience netsim.SiteID) *T
 		IssuedAt:   p.eng.Now(),
 		ExpiresAt:  p.eng.Now() + p.TokenTTL,
 	}
-	mac := hmac.New(sha256.New, p.key)
-	mac.Write(t.canonical())
-	t.Sig = mac.Sum(nil)
+	t.Sig = slices.Clone(p.signer.sign(t))
 	return t
 }
 
-// Federation is the trust fabric: which issuer keys each site accepts.
+// Federation is the trust fabric: which issuer keys each site accepts. Like
+// the engine it runs on, it is not safe for concurrent use.
 type Federation struct {
 	eng     *sim.Engine
 	keys    map[netsim.SiteID][]byte
 	trusts  map[netsim.SiteID]map[netsim.SiteID]bool
 	metrics *telemetry.Registry
-	audit   []AuditEntry
+
+	// signers holds one keyed signer per issuer, made at that issuer's first
+	// Verify and dropped when RegisterIdP replaces its key.
+	signers map[netsim.SiteID]*signer
+
+	// audit is a ring once it holds MaxAuditEntries: oldest is then the
+	// index of the oldest entry, the next one overwritten.
+	audit  []AuditEntry
+	oldest int
+
+	// Guard.Check's counters, resolved at the first check.
+	checks, authnFailures, authzDenials, allowed *telemetry.Counter
 
 	// MaxAuditEntries bounds memory; oldest entries are dropped. Default 100000.
 	MaxAuditEntries int
@@ -133,7 +181,8 @@ func (f *Federation) Metrics() *telemetry.Registry { return f.metrics }
 
 // RegisterIdP records a site's signing key so members can verify its tokens.
 func (f *Federation) RegisterIdP(p *IdentityProvider) {
-	f.keys[p.site] = p.key
+	f.keys[p.site] = p.signer.key
+	delete(f.signers, p.site)
 }
 
 // Trust declares that verifier accepts tokens issued by issuer. Trust is
@@ -174,9 +223,15 @@ func (f *Federation) Verify(at netsim.SiteID, t *Token) error {
 	if !ok {
 		return fmt.Errorf("%w: no key for %s", ErrUntrustedIssuer, t.Issuer)
 	}
-	mac := hmac.New(sha256.New, key)
-	mac.Write(t.canonical())
-	if !hmac.Equal(mac.Sum(nil), t.Sig) {
+	sg := f.signers[t.Issuer]
+	if sg == nil {
+		if f.signers == nil {
+			f.signers = make(map[netsim.SiteID]*signer)
+		}
+		sg = &signer{key: key}
+		f.signers[t.Issuer] = sg
+	}
+	if !hmac.Equal(sg.sign(t), t.Sig) {
 		return ErrBadSignature
 	}
 	if f.eng.Now() >= t.ExpiresAt {
@@ -216,7 +271,9 @@ func (c Condition) match(attrs map[string]string) bool {
 		if !ok {
 			return false
 		}
-		for _, opt := range strings.Split(c.Value, ",") {
+		for rest, more := c.Value, true; more; {
+			var opt string
+			opt, rest, more = strings.Cut(rest, ",")
 			if strings.TrimSpace(opt) == v {
 				return true
 			}
@@ -287,14 +344,31 @@ type AuditEntry struct {
 	Reason   string
 }
 
-// Audit returns the audit log (most recent last).
-func (f *Federation) Audit() []AuditEntry { return f.audit }
-
-func (f *Federation) record(e AuditEntry) {
-	if len(f.audit) >= f.MaxAuditEntries {
-		f.audit = f.audit[1:]
+// Audit returns the audit log (most recent last). The slice is the log's own
+// storage: the next decision may overwrite its first entry.
+func (f *Federation) Audit() []AuditEntry {
+	if f.oldest != 0 {
+		// Rotate the ring so that it starts at index 0 again.
+		slices.Reverse(f.audit[:f.oldest])
+		slices.Reverse(f.audit[f.oldest:])
+		slices.Reverse(f.audit)
+		f.oldest = 0
 	}
-	f.audit = append(f.audit, e)
+	return f.audit
+}
+
+// record appends e until the log holds MaxAuditEntries, then overwrites the
+// oldest entry in place.
+func (f *Federation) record(e AuditEntry) {
+	switch {
+	case f.MaxAuditEntries <= 0:
+		f.audit, f.oldest = nil, 0
+	case len(f.audit) < f.MaxAuditEntries:
+		f.audit = append(f.Audit(), e)
+	default:
+		f.audit[f.oldest] = e
+		f.oldest = (f.oldest + 1) % len(f.audit)
+	}
 }
 
 // Guard couples the federation with a PDP to make per-message decisions.
@@ -305,26 +379,32 @@ type Guard struct {
 
 // Check authenticates the token and authorizes (action, resource) at site.
 func (g *Guard) Check(at netsim.SiteID, t *Token, action, resource string) error {
-	m := g.Fed.metrics
-	m.Counter("security.checks").Inc()
-	if err := g.Fed.Verify(at, t); err != nil {
-		m.Counter("security.authn_failures").Inc()
+	f := g.Fed
+	if f.checks == nil {
+		f.checks = f.metrics.Counter("security.checks")
+		f.authnFailures = f.metrics.Counter("security.authn_failures")
+		f.authzDenials = f.metrics.Counter("security.authz_denials")
+		f.allowed = f.metrics.Counter("security.allowed")
+	}
+	f.checks.Inc()
+	if err := f.Verify(at, t); err != nil {
+		f.authnFailures.Inc()
 		sub := ""
 		if t != nil {
 			sub = t.Subject
 		}
-		g.Fed.record(AuditEntry{At: g.Fed.eng.Now(), Site: at, Subject: sub,
+		f.record(AuditEntry{At: f.eng.Now(), Site: at, Subject: sub,
 			Action: action, Resource: resource, Allowed: false, Reason: err.Error()})
 		return err
 	}
 	ok, why := g.PDP.Authorize(t.Attributes, action, resource)
-	g.Fed.record(AuditEntry{At: g.Fed.eng.Now(), Site: at, Subject: t.Subject,
+	f.record(AuditEntry{At: f.eng.Now(), Site: at, Subject: t.Subject,
 		Action: action, Resource: resource, Allowed: ok, Reason: why})
 	if !ok {
-		m.Counter("security.authz_denials").Inc()
+		f.authzDenials.Inc()
 		return fmt.Errorf("%w: %s on %s by %s", ErrDenied, action, resource, t.Subject)
 	}
-	m.Counter("security.allowed").Inc()
+	f.allowed.Inc()
 	return nil
 }
 
