@@ -508,6 +508,21 @@ func (pc *pendingCall) errFromEnvelope(env *Envelope) error {
 	return nil
 }
 
+// timeoutError is the terminal error of a call that ran out of attempts. Most
+// such calls (gossip to a down or partitioned peer) are only counted by their
+// callback, so the text is rendered when read, not when the call fails.
+type timeoutError struct {
+	attempts int
+	method   string
+	to       Address
+}
+
+func (e *timeoutError) Error() string {
+	return fmt.Sprintf("%v after %d attempts: %s %s", ErrTimeout, e.attempts, e.method, e.to)
+}
+
+func (e *timeoutError) Unwrap() error { return ErrTimeout }
+
 // CallOpts configures an RPC.
 type CallOpts struct {
 	From       Address
@@ -554,8 +569,7 @@ func (pc *pendingCall) attempt(n int) {
 	pc.n = n
 	f := pc.fabric
 	if n > pc.opts.Retries {
-		pc.complete(nil, fmt.Errorf("%w after %d attempts: %s %s",
-			ErrTimeout, n, pc.opts.Method, pc.opts.To))
+		pc.complete(nil, &timeoutError{attempts: n, method: pc.opts.Method, to: pc.opts.To})
 		return
 	}
 	if n > 0 {

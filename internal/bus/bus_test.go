@@ -96,6 +96,12 @@ func TestRPCTimeoutOnDeadLink(t *testing.T) {
 	if !errors.Is(gotErr, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", gotErr)
 	}
+	// The error renders lazily; its text must stay what fmt.Errorf produced
+	// when it was built eagerly, since sched and reports print it.
+	want := fmt.Errorf("%w after %d attempts: %s %s", ErrTimeout, 3, "m", addr("anl", "m")).Error()
+	if gotErr.Error() != want {
+		t.Fatalf("timeout text = %q, want %q", gotErr.Error(), want)
+	}
 }
 
 func TestRPCRetriesRecoverFromLoss(t *testing.T) {

@@ -13,10 +13,20 @@
 //
 // Records are copy-on-write: once stored, a *Record's content never
 // mutates, so gossip snapshots and merges share pointers instead of deep
-// cloning (the pre-rewrite clone-per-record-per-round dominated the whole
-// simulation's allocation profile). Mutable lease state (expiry, last
-// update) lives in a per-registry entry alongside the shared record;
-// version bumps (Renew, Deregister) replace the record pointer.
+// cloning. Mutable lease state (expiry, last update) lives in a per-registry
+// entry alongside the shared record; version bumps (Renew, Deregister)
+// replace the record pointer.
+//
+// Gossip is publish-once: a registry's record set changes only during
+// warm-up and around faults, so the discovery.sync payload is a pointer to
+// an immutable snapshot built once per change and handed to every peer and
+// every reply until the next change. The one invariant is that a published
+// snapshot is never written again — it may ride the bus (retries, slow
+// links) long after the registry has moved on, so a change builds a new
+// snapshot with a new slice. Because snapshots are immutable, a receiver
+// recognises one it has already merged by pointer: when neither side has
+// changed since, the merge only re-stamps the leases the last walk
+// re-stamped.
 package discovery
 
 import (
@@ -99,6 +109,33 @@ type Registry struct {
 	gen        uint64
 	typeIdx    map[string]*typeIndex
 	nextExpiry sim.Time
+
+	// Gossip state, all made at first use. changes counts every creation,
+	// replacement or removal of an entry and every swap of an entry's rec
+	// pointer — a superset of gen's bumps (Renew moves changes, not gen) —
+	// so "changes has not moved" means the records map, its entries and
+	// their rec pointers are exactly what they were.
+	changes uint64
+	pub     *snapshot // published at pubAt; rebuilt when changes moves on
+	pubAt   uint64
+	peers   map[netsim.SiteID]*peerMemo
+	onReply func(any, error)
+}
+
+// snapshot is the discovery.sync payload: every record (tombstones
+// included) a registry held when it was published. Immutable from then on.
+type snapshot struct {
+	from netsim.SiteID
+	recs []*Record
+}
+
+// peerMemo is what a registry remembers about one peer's gossip: the last
+// snapshot whose merge walk changed nothing, the registry's own change
+// counter at that walk, and the entries the walk re-leased.
+type peerMemo struct {
+	seen   *snapshot
+	seenAt uint64
+	leased []*entry
 }
 
 // typeIndex is the cached Browse result set for one service type.
@@ -114,6 +151,7 @@ const noExpiry = sim.Time(math.MaxInt64)
 // folds a record's lease into the expiry bound.
 func (r *Registry) touch(expires sim.Time) {
 	r.gen++
+	r.changes++
 	if expires < r.nextExpiry {
 		r.nextExpiry = expires
 	}
@@ -132,7 +170,19 @@ type Directory struct {
 	// DefaultTTL applies to records registered without one. Default 30s.
 	DefaultTTL sim.Time
 
+	// Per-RPC counter handles, each resolved when it first counts.
+	gossipRounds, gossipFailures, mergedRecords *telemetry.Counter
+
 	stops []func()
+}
+
+// counter resolves a hot-path handle on first use, so a metrics dump lists
+// the counter from the moment it first counted and not before.
+func (d *Directory) counter(h **telemetry.Counter, name string) *telemetry.Counter {
+	if *h == nil {
+		*h = d.metrics.Counter(name)
+	}
+	return *h
 }
 
 // NewDirectory creates registries for the given sites and starts gossip.
@@ -152,7 +202,7 @@ func NewDirectory(fabric *bus.Fabric, sites []netsim.SiteID) *Directory {
 	for _, s := range sites {
 		s := s
 		fabric.Broker(s).RegisterFunc("discovery.sync", 0, func(env *bus.Envelope) (any, error) {
-			return d.registries[s].handleSync(env.Payload.([]*Record)), nil
+			return d.registries[s].handleSync(env.Payload.(*snapshot)), nil
 		})
 	}
 	return d
@@ -204,6 +254,7 @@ func (r *Registry) Register(rec Record) {
 		expiresAt: now + rec.TTL,
 	}
 	r.gen++
+	r.changes++
 	r.dir.metrics.Counter("discovery.registrations").Inc()
 }
 
@@ -219,6 +270,7 @@ func (r *Registry) Renew(instance string) bool {
 	next := *e.rec
 	next.Version++
 	e.rec = &next
+	r.changes++
 	e.updatedAt = r.dir.eng.Now()
 	e.expiresAt = e.updatedAt + next.TTL
 	return true
@@ -266,6 +318,7 @@ func (r *Registry) expire() {
 	r.nextExpiry = next
 	if removed > 0 {
 		r.gen++
+		r.changes++
 	}
 }
 
@@ -360,35 +413,69 @@ func (r *Registry) Live() int {
 	return n
 }
 
-// snapshot exports all records (including tombstones) for gossip. The
-// returned slice shares the registry's immutable record pointers — the
-// whole export is one slice allocation. The slice itself is freshly
-// allocated per call because it rides the bus as a message payload with an
-// unbounded delivery horizon (retries, slow links).
-func (r *Registry) snapshot() []*Record {
-	out := make([]*Record, 0, len(r.records))
-	for _, e := range r.records {
-		out = append(out, e.rec)
+// snapshot returns the published export of all records (including
+// tombstones) for gossip, building it only if the record set changed since
+// the last one was published. A published snapshot is never written again:
+// it rides the bus as a message payload with an unbounded delivery horizon
+// (retries, slow links) and peers recognise it by pointer, so a rebuild
+// allocates a new snapshot and a new slice rather than reusing the old.
+func (r *Registry) snapshot() *snapshot {
+	if r.pub == nil || r.pubAt != r.changes {
+		recs := make([]*Record, 0, len(r.records))
+		for _, e := range r.records {
+			recs = append(recs, e.rec)
+		}
+		r.pub, r.pubAt = &snapshot{from: r.site, recs: recs}, r.changes
 	}
-	return out
+	return r.pub
+}
+
+// peer returns the gossip memo for a peer site.
+func (r *Registry) peer(site netsim.SiteID) *peerMemo {
+	p := r.peers[site]
+	if p == nil {
+		if r.peers == nil {
+			r.peers = make(map[netsim.SiteID]*peerMemo)
+		}
+		p = &peerMemo{}
+		r.peers[site] = p
+	}
+	return p
 }
 
 // merge folds remote records in, keeping the higher (origin, version) wins.
-// Hearing an unchanged record again refreshes its lease, so steady gossip
-// keeps live records alive without explicit renewal traffic. Accepted
-// records are stored by pointer — content is immutable federation-wide, so
-// no copy is needed; only the local lease entry is new.
-func (r *Registry) merge(in []*Record) int {
-	changed := 0
+// Hearing an unchanged record again — live or tombstone — refreshes its
+// lease, so steady gossip keeps records alive without explicit renewal
+// traffic. Accepted records are stored by pointer — content is immutable
+// federation-wide, so no copy is needed; only the local lease entry is new.
+//
+// The walk is the only place a record is compared or an entry created. When
+// the same snapshot arrives again and this registry has not changed since a
+// walk of it that changed nothing, every record would take the same branch,
+// so the leases that walk re-stamped are re-stamped without walking.
+func (r *Registry) merge(in *snapshot) int {
 	now := r.dir.eng.Now()
-	for _, rec := range in {
+	p := r.peer(in.from)
+	if p.seen == in && p.seenAt == r.changes {
+		for _, e := range p.leased {
+			e.expiresAt = now + e.rec.TTL
+		}
+		return 0
+	}
+	if cap(p.leased) < len(in.recs) {
+		p.leased = make([]*entry, 0, len(in.recs))
+	}
+	p.seen, p.leased = nil, p.leased[:0]
+	changed := 0
+	for _, rec := range in.recs {
 		cur, ok := r.records[rec.Instance]
 		if ok && cur.rec.Version > rec.Version {
 			continue
 		}
-		if ok && cur.rec.Version == rec.Version && !rec.Deleted {
+		if ok && cur.rec.Version == rec.Version {
 			// Foreign lease clock restarts on every fresh sighting.
 			cur.expiresAt = now + cur.rec.TTL
+			p.leased = append(p.leased, cur)
 			continue
 		}
 		expires := now + rec.TTL
@@ -397,17 +484,29 @@ func (r *Registry) merge(in []*Record) int {
 		changed++
 	}
 	if changed > 0 {
-		r.dir.metrics.Counter("discovery.merged_records").Add(int64(changed))
+		r.dir.counter(&r.dir.mergedRecords, "discovery.merged_records").Add(int64(changed))
+		return changed
 	}
-	return changed
+	p.seen, p.seenAt = in, r.changes
+	return 0
 }
 
 // handleSync is the pull-push RPC body: merge the caller's snapshot and
 // return ours.
-func (r *Registry) handleSync(in []*Record) []*Record {
+func (r *Registry) handleSync(in *snapshot) *snapshot {
 	r.expire()
 	r.merge(in)
 	return r.snapshot()
+}
+
+// syncReply completes one gossip call: count the failure or merge the
+// peer's snapshot.
+func (r *Registry) syncReply(result any, err error) {
+	if err != nil {
+		r.dir.counter(&r.dir.gossipFailures, "discovery.gossip_failures").Inc()
+		return
+	}
+	r.merge(result.(*snapshot))
 }
 
 // gossipRound pushes this registry's snapshot to every peer and merges each
@@ -416,25 +515,22 @@ func (r *Registry) handleSync(in []*Record) []*Record {
 func (r *Registry) gossipRound() {
 	r.expire()
 	snap := r.snapshot()
-	for _, peer := range r.dir.sites {
+	if r.onReply == nil {
+		r.onReply = r.syncReply
+	}
+	d := r.dir
+	for _, peer := range d.sites {
 		if peer == r.site {
 			continue
 		}
-		peer := peer
-		r.dir.metrics.Counter("discovery.gossip_rounds").Inc()
-		r.dir.fabric.Call(bus.CallOpts{
+		d.counter(&d.gossipRounds, "discovery.gossip_rounds").Inc()
+		d.fabric.Call(bus.CallOpts{
 			From:    bus.Address{Site: r.site, Name: "discovery"},
 			To:      bus.Address{Site: peer, Name: "discovery.sync"},
 			Method:  "discovery.sync",
 			Payload: snap,
-			Timeout: r.dir.GossipInterval,
-		}, func(result any, err error) {
-			if err != nil {
-				r.dir.metrics.Counter("discovery.gossip_failures").Inc()
-				return
-			}
-			r.merge(result.([]*Record))
-		})
+			Timeout: d.GossipInterval,
+		}, r.onReply)
 	}
 }
 

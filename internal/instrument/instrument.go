@@ -493,6 +493,17 @@ func (f *Fleet) IDs() []string {
 	return out
 }
 
+// Each visits the instruments in no particular order until fn returns
+// false, without copying or sorting the IDs — for existential questions
+// whose answer does not depend on which instrument is found first.
+func (f *Fleet) Each(fn func(*Instrument) bool) {
+	for _, in := range f.byID {
+		if !fn(in) {
+			return
+		}
+	}
+}
+
 // ByKind returns instruments of the given kind, sorted by ID.
 func (f *Fleet) ByKind(kind string) []*Instrument {
 	var out []*Instrument

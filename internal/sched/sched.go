@@ -1212,16 +1212,13 @@ func (s *Scheduler) requeue(qj *queuedJob, reason, kind string, backoff sim.Time
 // localSpare reports whether the site hosts an instrument that could
 // accept another dispatch right now.
 func (s *Scheduler) localSpare(ss *siteSched) bool {
-	for _, id := range ss.bind.Fleet.IDs() {
-		in, _ := ss.bind.Fleet.Get(id)
-		if in == nil || in.State() == instrument.StateDown {
-			continue
-		}
-		if s.inflight[string(ss.bind.ID)+"/"+id] < s.opts.MaxInFlightPerInstrument {
-			return true
-		}
-	}
-	return false
+	spare := false
+	ss.bind.Fleet.Each(func(in *instrument.Instrument) bool {
+		spare = in.State() != instrument.StateDown &&
+			s.inflight[string(ss.bind.ID)+"/"+in.Descriptor().ID] < s.opts.MaxInFlightPerInstrument
+		return !spare
+	})
+	return spare
 }
 
 // maybeSteal runs when a site's queue is dry: if the site still has spare
