@@ -211,7 +211,7 @@ func (f *Fabric) Broker(site netsim.SiteID) *Broker {
 		b = &Broker{
 			fabric:    f,
 			site:      site,
-			endpoints: make(map[string]Handler),
+			endpoints: make(map[string]endpoint),
 			subs:      make(map[string][]subscription),
 			queues:    make(map[string]*Queue),
 		}
@@ -262,12 +262,21 @@ func (f *Fabric) deliverMsg(m netsim.Message) {
 type Broker struct {
 	fabric      *Fabric
 	site        netsim.SiteID
-	endpoints   map[string]Handler
+	endpoints   map[string]endpoint
 	subs        map[string][]subscription
 	queues      map[string]*Queue
 	pending     map[uint64]*pendingCall
 	consumerFns map[consumerKey]func(*Envelope) error
 	seenPublish map[uint64]bool
+}
+
+// endpoint is one registered request handler: an asynchronous Handler, or —
+// when h is nil — a synchronous fn served procTime after arrival by the
+// request's pooled responder.
+type endpoint struct {
+	h        Handler
+	fn       func(*Envelope) (any, error)
+	procTime sim.Time
 }
 
 type subscription struct {
@@ -281,19 +290,17 @@ func (b *Broker) Site() netsim.SiteID { return b.site }
 
 // Register installs an asynchronous handler for the named endpoint.
 func (b *Broker) Register(name string, h Handler) {
-	b.endpoints[name] = h
+	b.endpoints[name] = endpoint{h: h}
 }
 
 // RegisterFunc installs a synchronous handler that computes its reply
 // immediately. procTime > 0 models server processing latency.
 func (b *Broker) RegisterFunc(name string, procTime sim.Time, fn func(*Envelope) (any, error)) {
-	b.Register(name, func(env *Envelope, respond func(any, error)) {
-		if procTime <= 0 {
-			respond(fn(env))
-			return
-		}
-		b.fabric.eng.Schedule(procTime, func() { respond(fn(env)) })
-	})
+	if procTime <= 0 {
+		b.Register(name, func(env *Envelope, respond func(any, error)) { respond(fn(env)) })
+		return
+	}
+	b.endpoints[name] = endpoint{fn: fn, procTime: procTime}
 }
 
 // Deregister removes an endpoint (e.g. on simulated crash).
@@ -331,13 +338,20 @@ func (b *Broker) deliver(env *Envelope) {
 	}
 	switch env.Kind {
 	case KindRequest:
-		h, ok := b.endpoints[env.To.Name]
+		ep, ok := b.endpoints[env.To.Name]
 		if !ok {
 			b.reply(env, nil, fmt.Errorf("%w: %s", ErrNoEndpoint, env.To))
 			return
 		}
 		rd := f.acquireResponder(b, env)
-		h(env, rd.fn)
+		if ep.h != nil {
+			ep.h(env, rd.fn)
+		} else {
+			// The function captured now runs even if the endpoint is
+			// deregistered before the timer fires.
+			rd.serve = ep.fn
+			f.eng.ScheduleArg(ep.procTime, serveLater, rd)
+		}
 		return
 	case KindQueueMsg:
 		// Queue messages are handled broker-locally in Queue.dispatch; a
@@ -369,13 +383,24 @@ func (b *Broker) deliver(env *Envelope) {
 
 // responder carries the respond-exactly-once guard for one in-flight
 // request. Pooled; fn is the respond method bound once at allocation so
-// handing it to a handler does not allocate.
+// handing it to a handler does not allocate. serve is set only while a
+// RegisterFunc endpoint's processing time runs (see serveLater).
 type responder struct {
-	b    *Broker
-	env  *Envelope
-	done bool
-	fn   func(any, error)
-	next *responder
+	b     *Broker
+	env   *Envelope
+	done  bool
+	fn    func(any, error)
+	serve func(*Envelope) (any, error)
+	next  *responder
+}
+
+// serveLater is the timer callback of a RegisterFunc endpoint with a
+// processing time: it runs the function the responder carries and replies.
+func serveLater(arg any) {
+	r := arg.(*responder)
+	fn := r.serve
+	r.serve = nil
+	r.respond(fn(r.env))
 }
 
 func (f *Fabric) acquireResponder(b *Broker, env *Envelope) *responder {

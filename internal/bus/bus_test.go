@@ -405,3 +405,74 @@ func TestRPCLatencyMetricRecorded(t *testing.T) {
 		t.Fatalf("mean rpc latency = %v s, want ~0.01", h.Mean())
 	}
 }
+
+// A RegisterFunc endpoint with a processing time serves each request from
+// the pooled responder: no closure per request once the pools are warm.
+func TestRPCServerProcessingTimeAllocatesNothing(t *testing.T) {
+	eng, _, f := testFabric(t, netsim.Link{Latency: sim.Millisecond})
+	served, replies := 0, 0
+	f.Broker("anl").RegisterFunc("work", 2*sim.Millisecond, func(*Envelope) (any, error) {
+		served++
+		return nil, nil
+	})
+	opts := CallOpts{From: addr("ornl", "c"), To: addr("anl", "work"), Method: "work"}
+	cb := func(_ any, err error) {
+		if err == nil {
+			replies++
+		}
+	}
+	roundTrip := func() {
+		for i := 0; i < 4; i++ { // four requests inside one processing time
+			f.Call(opts, cb)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip() // warm the envelope, call, responder and event pools
+	if avg := testing.AllocsPerRun(100, roundTrip); avg != 0 {
+		t.Fatalf("four served round trips allocate %v times, want 0", avg)
+	}
+	if served != replies || served != 4*102 {
+		t.Fatalf("served %d, replied %d, want %d each", served, replies, 4*102)
+	}
+}
+
+// The function captured when the request arrived runs and replies even if
+// the endpoint is deregistered, or replaced, before its processing time ends.
+func TestRPCServedAfterDeregister(t *testing.T) {
+	eng, _, f := testFabric(t, netsim.Link{Latency: 10 * sim.Millisecond})
+	b := f.Broker("anl")
+	b.RegisterFunc("work", 5*sim.Millisecond, func(env *Envelope) (any, error) {
+		return fmt.Sprintf("first:%v@%v", env.Payload, eng.Now()), nil
+	})
+	opts := CallOpts{From: addr("ornl", "c"), To: addr("anl", "work"), Method: "work", Payload: "a"}
+	var got [3]any
+	var errs [3]error
+	var at [3]sim.Time
+	call := func(i int) {
+		f.Call(opts, func(r any, err error) { got[i], errs[i], at[i] = r, err, eng.Now() })
+	}
+	call(0)                                                           // arrives 10ms, served 15ms, reply lands 25ms
+	eng.Schedule(12*sim.Millisecond, func() { b.Deregister("work") }) // between arrival and service
+	eng.Schedule(13*sim.Millisecond, func() { call(1) })              // arrives 23ms: no endpoint
+	eng.Schedule(30*sim.Millisecond, func() {                         // replaced while request 2 is being served
+		b.RegisterFunc("work", 5*sim.Millisecond, func(*Envelope) (any, error) { return "second", nil })
+		call(2) // arrives 40ms under "second"
+	})
+	eng.Schedule(42*sim.Millisecond, func() {
+		b.RegisterFunc("work", sim.Millisecond, func(*Envelope) (any, error) { return "third", nil })
+	})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if errs[0] != nil || got[0] != "first:a@15ms" || at[0] != 25*sim.Millisecond {
+		t.Fatalf("request in service across a Deregister: %v, %v at %v; want first:a@15ms at 25ms", got[0], errs[0], at[0])
+	}
+	if !errors.Is(errs[1], ErrHandlerFailed) {
+		t.Fatalf("request after the Deregister: %v, %v; want a no-endpoint failure", got[1], errs[1])
+	}
+	if errs[2] != nil || got[2] != "second" || at[2] != 55*sim.Millisecond {
+		t.Fatalf("request in service across a re-register: %v, %v at %v; want second at 55ms", got[2], errs[2], at[2])
+	}
+}

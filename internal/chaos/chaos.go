@@ -69,19 +69,35 @@ func Bind(n *core.Network) Target {
 		}
 	}
 	if orig := n.Fabric.TokenSource; orig != nil {
-		bad := make(map[netsim.SiteID]bool)
+		// Per site: whether its credentials are bad, and the forgery of the
+		// last original token seen. A TokenManager hands out the same *Token
+		// until it renews, so one forgery serves every envelope of a window
+		// until the original pointer changes.
+		type creds struct {
+			bad        bool
+			of, forged *security.Token
+		}
+		sites := make(map[netsim.SiteID]creds)
 		n.Fabric.TokenSource = func(from bus.Address) any {
 			tok := orig(from)
-			if bad[from.Site] {
+			if c := sites[from.Site]; c.bad {
 				if t, ok := tok.(*security.Token); ok {
-					forged := *t
-					forged.Sig = []byte("chaos-forged")
-					return &forged
+					if c.of != t {
+						forged := *t
+						forged.Sig = []byte("chaos-forged")
+						c.of, c.forged = t, &forged
+						sites[from.Site] = c
+					}
+					return c.forged
 				}
 			}
 			return tok
 		}
-		tgt.SetBadCreds = func(site netsim.SiteID, b bool) { bad[site] = b }
+		tgt.SetBadCreds = func(site netsim.SiteID, b bool) {
+			c := sites[site]
+			c.bad = b
+			sites[site] = c
+		}
 	}
 	return tgt
 }

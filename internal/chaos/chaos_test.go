@@ -5,9 +5,13 @@ import (
 	"reflect"
 	"testing"
 
+	"github.com/aisle-sim/aisle/internal/bus"
+	"github.com/aisle-sim/aisle/internal/core"
 	"github.com/aisle-sim/aisle/internal/instrument"
 	"github.com/aisle-sim/aisle/internal/netsim"
+	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
+	"github.com/aisle-sim/aisle/internal/security"
 	"github.com/aisle-sim/aisle/internal/sim"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 	"github.com/aisle-sim/aisle/internal/twin"
@@ -248,5 +252,77 @@ func TestCheckerWatchNet(t *testing.T) {
 	}
 	if len(c.Violations()) != 1 {
 		t.Fatalf("drop path should add no violations, got %v", c.Violations())
+	}
+}
+
+// Inside a bad-credential window Bind forges one token per original: every
+// envelope of the window carries the same forgery until the site's token
+// renews, and every one of them is still refused where it arrives.
+func TestBindForgesOncePerOriginalToken(t *testing.T) {
+	sites := scheduleSites(3)
+	n := core.New(core.Config{Seed: 5, Sites: sites, Link: core.DefaultLink(),
+		ZeroTrust: true, SharedKnowledge: true})
+	defer n.Stop()
+	tgt := Bind(n)
+	from := bus.Address{Site: "a", Name: "knowledge"}
+	token := func() *security.Token {
+		tok, _ := n.Fabric.TokenSource(from).(*security.Token)
+		if tok == nil {
+			t.Fatal("token source returned no *security.Token")
+		}
+		return tok
+	}
+	refused := func() int64 { return n.Fed.Metrics().Counter("security.authn_failures").Value() }
+
+	genuine := token()
+	if err := n.Fed.Verify("b", genuine); err != nil {
+		t.Fatalf("genuine token refused: %v", err)
+	}
+	tgt.SetBadCreds("a", true)
+	first, again := token(), token()
+	if first == genuine || string(first.Sig) != "chaos-forged" || string(genuine.Sig) == "chaos-forged" {
+		t.Fatal("a bad-credential window must present a forged copy and leave the original alone")
+	}
+	if first != again {
+		t.Fatal("two sends inside one window forged two tokens for one original")
+	}
+	if other, _ := n.Fabric.TokenSource(bus.Address{Site: "b"}).(*security.Token); string(other.Sig) == "chaos-forged" {
+		t.Fatal("a site outside the window presented a forgery")
+	}
+	// A real publish inside the window: refused at both peers.
+	before := refused()
+	n.Site("a").Knowledge.AddObservation("perovskite", param.Point{"x": 1}, 0.5)
+	if err := n.RunFor(sim.Second); err != nil {
+		t.Fatal(err)
+	}
+	afterFirst := refused()
+	if afterFirst-before < 2 || n.Site("b").Knowledge.Size() != 0 {
+		t.Fatalf("forged publish: %d refusals, peer holds %d insights; want >= 2 and 0",
+			afterFirst-before, n.Site("b").Knowledge.Size())
+	}
+	// Past a renewal (core's TTL/2 = 5 min) the original changes, and so does
+	// the forgery.
+	if err := n.RunFor(6 * sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	renewed := token()
+	if renewed == first || string(renewed.Sig) != "chaos-forged" || renewed != token() {
+		t.Fatal("a renewal must yield one new forgery")
+	}
+	if renewed.ExpiresAt <= first.ExpiresAt {
+		t.Fatalf("forgery after the renewal expires at %v, the one before at %v", renewed.ExpiresAt, first.ExpiresAt)
+	}
+	for _, tok := range []*security.Token{first, renewed} {
+		if err := n.Fed.Verify("b", tok); !errors.Is(err, security.ErrBadSignature) {
+			t.Fatalf("forged token: %v, want ErrBadSignature", err)
+		}
+	}
+	tgt.SetBadCreds("a", false)
+	if tok := token(); string(tok.Sig) == "chaos-forged" {
+		t.Fatal("forgery presented after the window closed")
+	}
+	tgt.SetBadCreds("a", true)
+	if token() != renewed {
+		t.Fatal("a second window over the same original forged again")
 	}
 }

@@ -5,10 +5,17 @@
 // vector-clock causality, and seed optimizers at other sites so the
 // federation avoids repeating experiments — the mechanism behind the
 // "reduce required experiments by >30%" claim.
+//
+// Publish once, share everywhere: Base.Add stores and publishes one *Insight
+// and every base that accepts it stores that same pointer. The invariant that
+// makes this safe: an insight is never written after Add publishes it. A
+// newer version is a new Insight replacing the pointer in one base's map;
+// only bases (and the bus in transit) hold the pointer, and Get, Quarantined
+// and Observations hand out copies. Every check — vet, the sync span, the
+// lag observation, the clock fold — still runs once per receiver.
 package knowledge
 
 import (
-	"fmt"
 	"sort"
 
 	"github.com/aisle-sim/aisle/internal/bus"
@@ -30,38 +37,42 @@ const (
 	KindNote        Kind = "note"        // free-form grounded finding
 )
 
-// VectorClock tracks causal history per site.
-type VectorClock map[netsim.SiteID]uint64
+// VectorClock tracks causal history per site. Entry i belongs to the site at
+// position i of the sites slice NewFederation was given; a clock shorter
+// than another reads zero for the entries it lacks.
+type VectorClock []uint64
 
 // Copy clones the clock.
 func (v VectorClock) Copy() VectorClock {
 	c := make(VectorClock, len(v))
-	for k, t := range v {
-		c[k] = t
-	}
+	copy(c, v)
 	return c
 }
 
 // Dominates reports whether v >= o componentwise with at least one strict.
 func (v VectorClock) Dominates(o VectorClock) bool {
 	strict := false
-	for k, t := range o {
-		if v[k] < t {
+	for i := 0; i < len(v) || i < len(o); i++ {
+		var a, b uint64
+		if i < len(v) {
+			a = v[i]
+		}
+		if i < len(o) {
+			b = o[i]
+		}
+		if a < b {
 			return false
 		}
-		if v[k] > t {
-			strict = true
-		}
-	}
-	for k := range v {
-		if _, ok := o[k]; !ok && v[k] > 0 {
+		if a > b {
 			strict = true
 		}
 	}
 	return strict
 }
 
-// Insight is one shareable finding.
+// Insight is one shareable finding, immutable once Add has published it (see
+// the package comment). Callers get shallow copies: Point and Clock are
+// shared and read-only.
 type Insight struct {
 	Key    string // canonical identity, e.g. "perovskite/obs/temp=150,..."
 	Kind   Kind
@@ -93,6 +104,7 @@ type SanityBound struct {
 // Base is one site's knowledge store.
 type Base struct {
 	site     netsim.SiteID
+	idx      int // this site's VectorClock entry
 	fed      *Federation
 	insights map[string]*Insight
 	clock    VectorClock
@@ -109,6 +121,8 @@ type Federation struct {
 	syncLag *telemetry.Histogram // knowledge.sync_lag_s: publish -> merge
 	bases   map[netsim.SiteID]*Base
 	prof    *prof.Profiler
+	// Counter handles, each resolved when it first counts.
+	added, published, merged, conflicts *telemetry.Counter
 
 	// Shared: when false, Add stays site-local (the E3 isolated baseline).
 	Shared bool
@@ -127,7 +141,17 @@ type Federation struct {
 	Trusted func(at, source netsim.SiteID) bool
 }
 
-// NewFederation creates bases at the given sites, wired for sharing.
+// counter resolves a hot-path handle on first use, so a metrics dump lists
+// the counter from the moment it first counted and not before.
+func (f *Federation) counter(h **telemetry.Counter, name string) *telemetry.Counter {
+	if *h == nil {
+		*h = f.metrics.Counter(name)
+	}
+	return *h
+}
+
+// NewFederation creates bases at the given sites, wired for sharing. A
+// site's position in sites is its VectorClock index.
 func NewFederation(fabric *bus.Fabric, sites []netsim.SiteID, shared bool) *Federation {
 	f := &Federation{
 		fabric:      fabric,
@@ -139,9 +163,9 @@ func NewFederation(fabric *bus.Fabric, sites []netsim.SiteID, shared bool) *Fede
 		MaxAttempts: 5,
 	}
 	f.syncLag = f.metrics.Histogram("knowledge.sync_lag_s")
-	for _, s := range sites {
-		b := &Base{site: s, fed: f, insights: make(map[string]*Insight), clock: VectorClock{}}
-		f.bases[s] = b
+	for i, s := range sites {
+		f.bases[s] = &Base{site: s, idx: i, fed: f, insights: make(map[string]*Insight),
+			clock: make(VectorClock, len(sites))}
 	}
 	if shared {
 		for _, s := range sites {
@@ -204,8 +228,7 @@ func (b *Base) quarantine(ins *Insight, reason string) {
 	if b.quarantined == nil {
 		b.quarantined = make(map[string]*Insight)
 	}
-	c := *ins
-	b.quarantined[ins.Key] = &c
+	b.quarantined[ins.Key] = ins
 	b.fed.metrics.Counter(telemetry.Key("knowledge.quarantined",
 		"site", string(ins.Source))).Inc()
 	if ins.Trace.Enabled() {
@@ -244,29 +267,30 @@ func (f *Federation) Base(site netsim.SiteID) *Base { return f.bases[site] }
 // Add records an insight at this base and, when sharing is on, publishes it
 // to every peer in real time.
 func (b *Base) Add(ins Insight) {
-	b.clock[b.site]++
+	f := b.fed
+	b.clock[b.idx]++
 	ins.Source = b.site
 	ins.Clock = b.clock.Copy()
-	ins.At = b.fed.eng.Now()
+	ins.At = f.eng.Now()
 	if ins.Key == "" {
 		ins.Key = deriveKey(&ins)
 	}
-	c := ins
+	c := ins // published below: never written again
 	b.insights[ins.Key] = &c
-	b.fed.metrics.Counter("knowledge.added").Inc()
+	f.counter(&f.added, "knowledge.added").Inc()
 
-	if b.fed.Shared {
-		b.fed.fabric.Publish(bus.PublishOpts{
+	if f.Shared {
+		f.fabric.Publish(bus.PublishOpts{
 			From:        bus.Address{Site: b.site, Name: "knowledge"},
 			Topic:       "knowledge",
 			Payload:     &c,
 			Size:        300,
 			QoS:         bus.AtLeastOnce,
-			AckTimeout:  b.fed.AckTimeout,
-			MaxAttempts: b.fed.MaxAttempts,
+			AckTimeout:  f.AckTimeout,
+			MaxAttempts: f.MaxAttempts,
 			Trace:       ins.Trace,
 		})
-		b.fed.metrics.Counter("knowledge.published").Inc()
+		f.counter(&f.published, "knowledge.published").Inc()
 	}
 }
 
@@ -278,57 +302,68 @@ func (b *Base) AddObservation(domain string, p param.Point, value float64) {
 // AddObservationT is AddObservation under a causal trace context, so the
 // insight's federation-wide propagation records knowledge.sync spans.
 func (b *Base) AddObservationT(ctx trace.Context, domain string, p param.Point, value float64) {
+	var buf [keyBuf]byte
 	b.Add(Insight{
 		Kind:   KindObservation,
 		Domain: domain,
 		Point:  p.Clone(),
 		Value:  value,
-		Key:    fmt.Sprintf("%s/obs/%s", domain, p.Key()),
+		Key:    string(obsKey(buf[:0], domain, p)),
 		Trace:  ctx,
 	})
 }
 
+const keyBuf = 160 // stack buffer for an observation key; longer keys spill
+
+// obsKey appends the one spelling of an observation's key,
+// "domain/obs/<point>", to dst.
+func obsKey(dst []byte, domain string, p param.Point) []byte {
+	dst = append(dst, domain...)
+	dst = append(dst, "/obs/"...)
+	return p.AppendKey(dst)
+}
+
 func deriveKey(ins *Insight) string {
-	if ins.Point != nil {
-		return fmt.Sprintf("%s/%s/%s", ins.Domain, ins.Kind, ins.Point.Key())
+	switch {
+	case ins.Point == nil:
+		return ins.Domain + "/" + string(ins.Kind) + "/" + ins.Note
+	case ins.Kind == KindObservation:
+		var buf [keyBuf]byte
+		return string(obsKey(buf[:0], ins.Domain, ins.Point))
 	}
-	return fmt.Sprintf("%s/%s/%s", ins.Domain, ins.Kind, ins.Note)
+	return ins.Domain + "/" + string(ins.Kind) + "/" + ins.Point.Key()
 }
 
 // merge folds a remote insight in under vector-clock causality: a remote
 // insight replaces a local one only if its clock dominates; concurrent
 // updates resolve deterministically by (value, source) so all sites agree.
+// An accepted insight is stored by pointer — the published, immutable one.
 func (b *Base) merge(remote *Insight) {
 	// Receiving knowledge is itself a causal event.
-	for site, t := range remote.Clock {
-		if b.clock[site] < t {
-			b.clock[site] = t
+	if n := len(remote.Clock) - len(b.clock); n > 0 {
+		b.clock = append(b.clock, make(VectorClock, n)...)
+	}
+	for i, t := range remote.Clock {
+		if b.clock[i] < t {
+			b.clock[i] = t
 		}
 	}
+	f := b.fed
 	cur, ok := b.insights[remote.Key]
-	if !ok {
-		c := *remote
-		b.insights[remote.Key] = &c
-		b.fed.metrics.Counter("knowledge.merged").Inc()
-		return
-	}
 	switch {
-	case remote.Clock.Dominates(cur.Clock):
-		c := *remote
-		b.insights[remote.Key] = &c
-		b.fed.metrics.Counter("knowledge.merged").Inc()
+	case !ok || remote.Clock.Dominates(cur.Clock):
+		f.counter(&f.merged, "knowledge.merged").Inc()
 	case cur.Clock.Dominates(remote.Clock):
-		// keep current
-	default:
+		return // keep current
+	case remote.Value > cur.Value ||
+		(remote.Value == cur.Value && remote.Source < cur.Source):
 		// Concurrent: deterministic resolution, prefer higher value then
 		// lexicographically smaller source.
-		if remote.Value > cur.Value ||
-			(remote.Value == cur.Value && remote.Source < cur.Source) {
-			c := *remote
-			b.insights[remote.Key] = &c
-			b.fed.metrics.Counter("knowledge.conflicts").Inc()
-		}
+		f.counter(&f.conflicts, "knowledge.conflicts").Inc()
+	default:
+		return
 	}
+	b.insights[remote.Key] = remote
 }
 
 // Size reports the number of insights held.
@@ -365,8 +400,8 @@ func (b *Base) Observations(domain string) (points []param.Point, values []float
 // in the federation's shared view — the redundancy check campaigns use to
 // skip duplicate experiments.
 func (b *Base) HasObservation(domain string, p param.Point) (float64, bool) {
-	key := fmt.Sprintf("%s/obs/%s", domain, p.Key())
-	ins, ok := b.insights[key]
+	var buf [keyBuf]byte
+	ins, ok := b.insights[string(obsKey(buf[:0], domain, p))]
 	if !ok || ins.Kind != KindObservation {
 		return 0, false
 	}

@@ -78,20 +78,39 @@ func TestObservationsSortedAndDomainScoped(t *testing.T) {
 }
 
 func TestVectorClockDominance(t *testing.T) {
-	a := VectorClock{"x": 2, "y": 1}
-	b := VectorClock{"x": 1, "y": 1}
+	a := VectorClock{2, 1}
+	b := VectorClock{1, 1}
 	if !a.Dominates(b) {
 		t.Fatal("a should dominate b")
 	}
 	if b.Dominates(a) {
 		t.Fatal("b should not dominate a")
 	}
-	c := VectorClock{"x": 1, "y": 2}
+	c := VectorClock{1, 2}
 	if a.Dominates(c) || c.Dominates(a) {
 		t.Fatal("concurrent clocks should not dominate each other")
 	}
 	if a.Dominates(a.Copy()) {
 		t.Fatal("equal clocks should not strictly dominate")
+	}
+	// Unequal lengths: a missing tail reads as zeros.
+	for _, tc := range []struct {
+		v, o       VectorClock
+		vDom, oDom bool
+	}{
+		{VectorClock{2, 1}, VectorClock{2, 1, 0}, false, false}, // equal
+		{VectorClock{2, 1}, VectorClock{2, 1, 3}, false, true},
+		{VectorClock{2, 1, 3}, VectorClock{1, 1}, true, false},
+		{VectorClock{2}, VectorClock{1, 1}, false, false}, // concurrent
+		{VectorClock{}, VectorClock{0, 0}, false, false},
+		{nil, VectorClock{0, 1}, false, true},
+	} {
+		if got := tc.v.Dominates(tc.o); got != tc.vDom {
+			t.Errorf("%v.Dominates(%v) = %v, want %v", tc.v, tc.o, got, tc.vDom)
+		}
+		if got := tc.o.Dominates(tc.v); got != tc.oDom {
+			t.Errorf("%v.Dominates(%v) = %v, want %v", tc.o, tc.v, got, tc.oDom)
+		}
 	}
 }
 

@@ -27,11 +27,13 @@ func TestPropertyMergeOrderIndependent(t *testing.T) {
 				break
 			}
 			key := fmt.Sprintf("d/obs/k%d", int(v)%6)
+			// Origins a and b hold clock entries 0 and 1; the receiving base
+			// below is a one-site federation, so merging grows its clock.
 			src := netsim.SiteID("a")
-			clock := VectorClock{"a": uint64(i + 1)}
+			clock := VectorClock{uint64(i + 1)}
 			if v%2 == 0 {
 				src = "b"
-				clock = VectorClock{"b": uint64(i + 1)}
+				clock = VectorClock{0, uint64(i + 1)}
 			}
 			insights = append(insights, &Insight{
 				Key: key, Kind: KindObservation, Domain: "d",
@@ -76,8 +78,8 @@ func TestPropertyMergeOrderIndependent(t *testing.T) {
 // and antisymmetric.
 func TestPropertyClockPartialOrder(t *testing.T) {
 	f := func(a, b [3]uint8) bool {
-		va := VectorClock{"x": uint64(a[0]), "y": uint64(a[1]), "z": uint64(a[2])}
-		vb := VectorClock{"x": uint64(b[0]), "y": uint64(b[1]), "z": uint64(b[2])}
+		va := VectorClock{uint64(a[0]), uint64(a[1]), uint64(a[2])}
+		vb := VectorClock{uint64(b[0]), uint64(b[1]), uint64(b[2])}
 		if va.Dominates(va.Copy()) {
 			return false // irreflexive
 		}

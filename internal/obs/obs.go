@@ -95,11 +95,11 @@ type Engine struct {
 	eng  *sim.Engine
 	opts Options
 
-	mu       sync.Mutex
-	regs     []watchedReg
-	tracer   *trace.Tracer
-	prof     *prof.Profiler
-	derived  *telemetry.Registry
+	mu      sync.Mutex
+	regs    []watchedReg
+	tracer  *trace.Tracer
+	prof    *prof.Profiler
+	derived *telemetry.Registry
 	// dropG caches trace.dropped{site=...} gauges per site so the sampling
 	// tick never rebuilds a labeled key; reset when derived changes.
 	dropG    map[string]*telemetry.Gauge
@@ -205,13 +205,14 @@ func (e *Engine) ExportTo(reg *telemetry.Registry) {
 }
 
 // exportTraceDropsLocked publishes the tracer's per-site span-drop counts
-// as labeled gauges on the export registry. Cheap when nothing dropped:
-// DroppedBySite returns nil until the first drop.
+// as labeled gauges on the export registry. It visits the counts in place
+// (no map per health sample), so gauges are created in site order rather
+// than map order; nothing is created until the first drop.
 func (e *Engine) exportTraceDropsLocked() {
 	if e.derived == nil || e.tracer == nil {
 		return
 	}
-	for site, n := range e.tracer.DroppedBySite() {
+	e.tracer.EachDropped(func(site string, n uint64) {
 		g, ok := e.dropG[site]
 		if !ok {
 			if e.dropG == nil {
@@ -221,7 +222,7 @@ func (e *Engine) exportTraceDropsLocked() {
 			e.dropG[site] = g
 		}
 		g.Set(float64(n))
-	}
+	})
 }
 
 // Start launches the sampling ticker. Idempotent.

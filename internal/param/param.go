@@ -8,7 +8,8 @@ package param
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 
 	"github.com/aisle-sim/aisle/internal/rng"
 )
@@ -184,19 +185,30 @@ func (s Space) FromUnit(u []float64) Point {
 }
 
 // Key renders a canonical string identity for a point (sorted names),
-// suitable for dedup caches and knowledge-base keys.
+// suitable for dedup caches and knowledge-base keys. One allocation: the
+// returned string.
 func (p Point) Key() string {
-	names := make([]string, 0, len(p))
+	var buf [128]byte
+	return string(p.AppendKey(buf[:0]))
+}
+
+// AppendKey appends the canonical identity — "name=value" pairs in name
+// order, comma-separated, values as %.6g — to dst and returns the extended
+// slice. Up to eight dimensions are sorted on the stack.
+func (p Point) AppendKey(dst []byte) []byte {
+	var stack [8]string
+	names := stack[:0]
 	for k := range p {
 		names = append(names, k)
 	}
-	sort.Strings(names)
-	out := ""
+	slices.Sort(names)
 	for i, k := range names {
 		if i > 0 {
-			out += ","
+			dst = append(dst, ',')
 		}
-		out += fmt.Sprintf("%s=%.6g", k, p[k])
+		dst = append(dst, k...)
+		dst = append(dst, '=')
+		dst = strconv.AppendFloat(dst, p[k], 'g', 6, 64)
 	}
-	return out
+	return dst
 }

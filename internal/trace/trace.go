@@ -264,21 +264,30 @@ func (t *Tracer) Dropped() uint64 {
 // signal that a site's causal chains may be incomplete. Sites with no drops
 // are omitted; the map is freshly allocated.
 func (t *Tracer) DroppedBySite() map[string]uint64 {
+	var out map[string]uint64
+	t.EachDropped(func(site string, n uint64) {
+		if out == nil {
+			out = make(map[string]uint64)
+		}
+		out[site] = n
+	})
+	return out
+}
+
+// EachDropped calls fn, in site order, for every site with drops — the
+// map-free form of DroppedBySite for callers that poll. fn runs under the
+// tracer's lock and must not call back into the tracer.
+func (t *Tracer) EachDropped(fn func(site string, n uint64)) {
 	if t == nil {
-		return nil
+		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out map[string]uint64
 	for _, site := range t.order {
 		if b := t.sites[site]; b.dropped > 0 {
-			if out == nil {
-				out = make(map[string]uint64)
-			}
-			out[site] = b.dropped
+			fn(site, b.dropped)
 		}
 	}
-	return out
 }
 
 // Len reports spans currently held across all rings.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -182,4 +183,37 @@ func TestSpanAttrOverflowDropped(t *testing.T) {
 	if len(got.Attrs()) != maxAttrs {
 		t.Fatalf("attrs = %d, want %d", len(got.Attrs()), maxAttrs)
 	}
+}
+
+// EachDropped visits exactly DroppedBySite's entries, in site order, without
+// building a map.
+func TestEachDroppedMatchesDroppedBySite(t *testing.T) {
+	tr := New(Options{Enabled: true, SiteCapacity: 2})
+	ctx := tr.Root(1)
+	for site, spans := range map[string]int{"slac": 5, "anl": 2, "ornl": 3, "pnnl": 9} {
+		for i := 0; i < spans; i++ {
+			s, c := ctx.Start(0, site, "job", "run")
+			c.Finish(&s, 1)
+		}
+	}
+	var order []string
+	got := map[string]uint64{}
+	tr.EachDropped(func(site string, n uint64) {
+		order = append(order, site)
+		got[site] = n
+	})
+	if want := []string{"ornl", "pnnl", "slac"}; !reflect.DeepEqual(order, want) { // anl dropped nothing
+		t.Fatalf("EachDropped visited %v, want %v", order, want)
+	}
+	if want := tr.DroppedBySite(); !reflect.DeepEqual(got, want) || got["pnnl"] != 7 {
+		t.Fatalf("EachDropped saw %v, DroppedBySite %v", got, want)
+	}
+	var total uint64
+	if avg := testing.AllocsPerRun(100, func() {
+		tr.EachDropped(func(_ string, n uint64) { total += n })
+	}); avg != 0 {
+		t.Fatalf("EachDropped allocates %v times per call, want 0", avg)
+	}
+	var none *Tracer
+	none.EachDropped(func(string, uint64) { t.Fatal("nil tracer visited a site") })
 }
