@@ -8,21 +8,17 @@ import (
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
-func testRuntime(t *testing.T) (*sim.Engine, *Runtime) {
+func testRuntime(t *testing.T) (*simtest.Stack, *Runtime) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(4))
-	for _, s := range []netsim.SiteID{"ornl", "anl"} {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.Connect("ornl", "anl", netsim.Link{Latency: 5 * sim.Millisecond})
-	return eng, NewRuntime(bus.NewFabric(net))
+	st := simtest.New(rng.New(4), netsim.Link{Latency: 5 * sim.Millisecond}, "ornl", "anl")
+	return st, NewRuntime(st.Fab)
 }
 
 func TestSpawnAndCall(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	rt.Spawn("anl", "calc", RoleExecutor, func(a *Agent) {
 		a.On("square", func(p any) (any, error) {
 			n := p.(int)
@@ -38,24 +34,20 @@ func TestSpawnAndCall(t *testing.T) {
 			}
 			got = r
 		})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if got != 49 {
 		t.Fatalf("got %v", got)
 	}
 }
 
 func TestUnknownMethod(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	rt.Spawn("anl", "a", RoleExecutor, nil)
 	c := rt.Spawn("ornl", "c", RoleOrchestrator, nil)
 	var gotErr error
 	c.Call(bus.Address{Site: "anl", Name: "a"}, "nope", nil, sim.Second,
 		func(_ any, err error) { gotErr = err })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if gotErr == nil {
 		t.Fatal("unknown method should fail")
 	}
@@ -76,7 +68,7 @@ func TestAgentState(t *testing.T) {
 }
 
 func TestKillAndSuperviseRestart(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	spawns := 0
 	rt.Spawn("ornl", "worker", RoleExecutor, func(a *Agent) {
 		spawns++
@@ -98,9 +90,7 @@ func TestKillAndSuperviseRestart(t *testing.T) {
 	c.Call(bus.Address{Site: "ornl", Name: "worker"}, "ping", nil, sim.Second,
 		func(_ any, err error) { deadErr = err })
 
-	if err := eng.RunUntil(30 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 30*sim.Second)
 	if deadErr == nil {
 		t.Fatal("call to dead agent succeeded")
 	}
@@ -125,16 +115,14 @@ func TestKillAndSuperviseRestart(t *testing.T) {
 			}
 			pong = r
 		})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if pong != "pong" {
 		t.Fatal("restarted agent unresponsive")
 	}
 }
 
 func TestContractNetAwardsBestBid(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	mkBidder := func(name string, value float64) bus.Address {
 		a := rt.Spawn("anl", name, RoleExecutor, func(a *Agent) {
 			a.On("cnp.bid", func(p any) (any, error) {
@@ -162,9 +150,7 @@ func TestContractNetAwardsBestBid(t *testing.T) {
 			}
 			winner, result = w, r
 		})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if winner != "fast" {
 		t.Fatalf("winner = %s, want fast", winner)
 	}
@@ -174,21 +160,19 @@ func TestContractNetAwardsBestBid(t *testing.T) {
 }
 
 func TestContractNetNoBids(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	boss := rt.Spawn("ornl", "boss", RoleOrchestrator, nil)
 	var gotErr error
 	ContractNet(rt, boss.Addr(), Task{ID: "t"}, nil, sim.Second,
 		func(_ string, _ any, err error) { gotErr = err })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if !errors.Is(gotErr, ErrNoBids) {
 		t.Fatalf("err = %v, want ErrNoBids", gotErr)
 	}
 }
 
 func TestContractNetSurvivesDeadBidder(t *testing.T) {
-	eng, rt := testRuntime(t)
+	st, rt := testRuntime(t)
 	live := rt.Spawn("anl", "live", RoleExecutor, func(a *Agent) {
 		a.On("cnp.bid", func(any) (any, error) { return Bid{Agent: "live", Value: 2}, nil })
 		a.On("cnp.award", func(any) (any, error) { return "ok", nil })
@@ -207,9 +191,7 @@ func TestContractNetSurvivesDeadBidder(t *testing.T) {
 			}
 			winner = w
 		})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if winner != "live" {
 		t.Fatalf("winner = %q, want live (dead bidder excluded)", winner)
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/security"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 	"github.com/aisle-sim/aisle/internal/twin"
 )
@@ -72,50 +73,40 @@ func TestScheduleRespectsConfig(t *testing.T) {
 }
 
 // injectorTestbed is a two-site network with one instrument each.
-func injectorTestbed(t *testing.T) (*sim.Engine, *netsim.Network, Target) {
+func injectorTestbed(t *testing.T) (*simtest.Stack, Target) {
 	t.Helper()
-	eng := sim.NewEngine()
 	rnd := rng.New(3)
-	net := netsim.New(eng, rnd.Fork("net"))
-	sites := []netsim.SiteID{"a", "b"}
-	for _, id := range sites {
-		net.AddSite(id).Firewall.AllowAll()
-	}
-	net.FullMesh(sites, netsim.Link{Latency: 10 * sim.Millisecond, Bandwidth: 125e6})
+	st := simtest.New(rnd.Fork("net"), netsim.Link{Latency: 10 * sim.Millisecond, Bandwidth: 125e6}, "a", "b")
 	fleets := make(map[netsim.SiteID]*instrument.Fleet)
-	for _, id := range sites {
+	for _, id := range st.Sites {
 		f := instrument.NewFleet()
-		f.Add(instrument.NewFluidicReactor(eng, rnd, "flow-"+string(id), string(id), twin.Perovskite{}))
+		f.Add(instrument.NewFluidicReactor(st.Eng, rnd, "flow-"+string(id), string(id), twin.Perovskite{}))
 		fleets[id] = f
 	}
-	return eng, net, Target{
-		Eng: eng, Net: net, Fleets: fleets, Sites: sites,
+	return st, Target{
+		Eng: st.Eng, Net: st.Net, Fleets: fleets, Sites: st.Sites,
 		Metrics: telemetry.NewRegistry(),
 	}
 }
 
 func TestInjectorSiteOutageAndRestore(t *testing.T) {
-	eng, net, tgt := injectorTestbed(t)
+	st, tgt := injectorTestbed(t)
 	inj := NewInjector(tgt)
 	inj.Run([]Event{{Kind: KindSiteOutage, At: sim.Minute, Duration: 10 * sim.Minute, Site: "a"}})
 
-	if err := eng.RunUntil(2 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 2*sim.Minute)
 	in, _ := tgt.Fleets["a"].Get("flow-a")
 	if got := in.State(); got != instrument.StateDown {
 		t.Fatalf("instrument state during outage = %v, want down", got)
 	}
-	if net.Reachable("a", "b", "bus") {
+	if st.Net.Reachable("a", "b", "bus") {
 		t.Fatal("site a should be unreachable during its outage")
 	}
-	if err := eng.RunUntil(15 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 15*sim.Minute)
 	if got := in.State(); got != instrument.StateIdle {
 		t.Fatalf("instrument state after heal = %v, want idle", got)
 	}
-	if !net.Reachable("a", "b", "bus") {
+	if !st.Net.Reachable("a", "b", "bus") {
 		t.Fatal("links should be healed after the window")
 	}
 	if inj.Injected() != 1 {
@@ -130,58 +121,48 @@ func TestInjectorSiteOutageAndRestore(t *testing.T) {
 }
 
 func TestInjectorOverlappingCutsRefcount(t *testing.T) {
-	eng, net, tgt := injectorTestbed(t)
+	st, tgt := injectorTestbed(t)
 	inj := NewInjector(tgt)
 	inj.Run([]Event{
 		{Kind: KindPartition, At: 0, Duration: 10 * sim.Minute, Site: "a"},
 		{Kind: KindPartition, At: 5 * sim.Minute, Duration: 10 * sim.Minute, Site: "a"},
 	})
 	// First window heals at 10m but the second still holds the site dark.
-	if err := eng.RunUntil(12 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if net.Reachable("a", "b", "bus") {
+	st.RunUntil(t, 12*sim.Minute)
+	if st.Net.Reachable("a", "b", "bus") {
 		t.Fatal("overlapping window should keep links down at 12m")
 	}
-	if err := eng.RunUntil(16 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if !net.Reachable("a", "b", "bus") {
+	st.RunUntil(t, 16*sim.Minute)
+	if !st.Net.Reachable("a", "b", "bus") {
 		t.Fatal("links should heal once the last window ends")
 	}
 }
 
 func TestInjectorDegradeRestoresSettings(t *testing.T) {
-	eng, _, tgt := injectorTestbed(t)
+	st, tgt := injectorTestbed(t)
 	in, _ := tgt.Fleets["b"].Get("flow-b")
 	pf, pd := in.FailureProb(), in.DriftPerAction()
 	inj := NewInjector(tgt)
 	inj.Run([]Event{{Kind: KindDegrade, At: 0, Duration: 5 * sim.Minute,
 		Site: "b", FailureProb: 0.4, Drift: 0.03}})
-	if err := eng.RunUntil(sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, sim.Minute)
 	if in.FailureProb() != 0.4 || in.DriftPerAction() != 0.03 {
 		t.Fatalf("degrade not applied: failure=%g drift=%g", in.FailureProb(), in.DriftPerAction())
 	}
-	if err := eng.RunUntil(6 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 6*sim.Minute)
 	if in.FailureProb() != pf || in.DriftPerAction() != pd {
 		t.Fatalf("degrade not restored: failure=%g drift=%g", in.FailureProb(), in.DriftPerAction())
 	}
 }
 
 func TestInjectorSkipsHooklessKinds(t *testing.T) {
-	eng, _, tgt := injectorTestbed(t)
+	st, tgt := injectorTestbed(t)
 	inj := NewInjector(tgt)
 	inj.Run([]Event{
 		{Kind: KindBadCreds, At: 0, Duration: sim.Minute, Site: "a"},
 		{Kind: KindByzantine, At: 0, Duration: sim.Minute, Site: "a"},
 	})
-	if err := eng.RunUntil(2 * sim.Minute); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 2*sim.Minute)
 	if inj.Injected() != 0 || inj.Skipped() != 2 {
 		t.Fatalf("injected=%d skipped=%d, want 0/2 without hooks", inj.Injected(), inj.Skipped())
 	}
@@ -203,50 +184,39 @@ func TestCheckerTerminalAudit(t *testing.T) {
 }
 
 func TestCheckerWatchNet(t *testing.T) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(1).Fork("net"))
-	for _, id := range []netsim.SiteID{"a", "b"} {
-		net.AddSite(id).Firewall.AllowAll()
-	}
-	net.FullMesh([]netsim.SiteID{"a", "b"}, netsim.Link{Latency: 50 * sim.Millisecond, Bandwidth: 125e6})
+	st := simtest.New(rng.New(1).Fork("net"), netsim.Link{Latency: 50 * sim.Millisecond, Bandwidth: 125e6}, "a", "b")
 	c := NewChecker()
-	c.WatchNet(net)
+	c.WatchNet(st.Net)
 
 	// Healthy delivery: no violation.
-	if err := net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) {}); err != nil {
+	if err := st.Net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.RunUntil(sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, sim.Second)
 	if len(c.Violations()) != 0 {
 		t.Fatalf("unexpected violations: %v", c.Violations())
 	}
 
 	// Cut the link while a message is in flight: without DropInFlight the
 	// delivery commits anyway and the checker must flag it.
-	if err := net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) {}); err != nil {
+	if err := st.Net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) {}); err != nil {
 		t.Fatal(err)
 	}
-	net.SetLinkUp("a", "b", false)
-	if err := eng.RunUntil(2 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.Net.SetLinkUp("a", "b", false)
+	st.RunUntil(t, 2*sim.Second)
 	if len(c.Violations()) != 1 {
 		t.Fatalf("violations = %v, want exactly the down-link delivery", c.Violations())
 	}
 
 	// With DropInFlight the same race drops the message instead.
-	net.SetLinkUp("a", "b", true)
-	net.DropInFlight = true
+	st.Net.SetLinkUp("a", "b", true)
+	st.Net.DropInFlight = true
 	delivered := false
-	if err := net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) { delivered = true }); err != nil {
+	if err := st.Net.Send(netsim.Message{From: "a", To: "b", Service: "bus", Size: 100}, func(netsim.Message) { delivered = true }); err != nil {
 		t.Fatal(err)
 	}
-	net.SetLinkUp("a", "b", false)
-	if err := eng.RunUntil(3 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.Net.SetLinkUp("a", "b", false)
+	st.RunUntil(t, 3*sim.Second)
 	if delivered {
 		t.Fatal("DropInFlight should have dropped the in-flight message")
 	}

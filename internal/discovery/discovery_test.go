@@ -7,21 +7,17 @@ import (
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
 var sites = []netsim.SiteID{"ornl", "anl", "slac"}
 
-func testDirectory(t *testing.T) (*sim.Engine, *netsim.Network, *Directory) {
+func testDirectory(t *testing.T) (*simtest.Stack, *Directory) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(5))
-	for _, s := range sites {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.FullMesh(sites, netsim.Link{Latency: 15 * sim.Millisecond})
-	f := bus.NewFabric(net)
-	d := NewDirectory(f, sites)
-	return eng, net, d
+	st := simtest.New(rng.New(5), netsim.Link{Latency: 15 * sim.Millisecond}, sites...)
+	d := NewDirectory(st.Fab, sites)
+	t.Cleanup(d.Stop) // stops the gossip tickers of a test that called Start
+	return st, d
 }
 
 func xrdRecord(inst string, resolution float64) Record {
@@ -35,7 +31,7 @@ func xrdRecord(inst string, resolution float64) Record {
 }
 
 func TestLocalRegisterAndBrowse(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
 	reg.Register(xrdRecord("ornl/xrd-2", 0.05))
@@ -52,14 +48,11 @@ func TestLocalRegisterAndBrowse(t *testing.T) {
 }
 
 func TestGossipPropagation(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	d.Registry("ornl").Register(xrdRecord("ornl/xrd-1", 0.1))
 
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	for _, s := range sites {
 		if _, ok := d.Registry(s).Resolve("ornl/xrd-1"); !ok {
 			t.Fatalf("record not visible at %s after gossip", s)
@@ -71,20 +64,15 @@ func TestGossipPropagation(t *testing.T) {
 }
 
 func TestTombstonePropagation(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	if !reg.Deregister("ornl/xrd-1") {
 		t.Fatal("deregister failed")
 	}
-	if err := eng.RunUntil(20 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 20*sim.Second)
 	for _, s := range sites {
 		if _, ok := d.Registry(s).Resolve("ornl/xrd-1"); ok {
 			t.Fatalf("tombstoned record still visible at %s", s)
@@ -93,40 +81,32 @@ func TestTombstonePropagation(t *testing.T) {
 }
 
 func TestDeregisterForeignRecordFails(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	d.Registry("ornl").Register(xrdRecord("ornl/xrd-1", 0.1))
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	if d.Registry("anl").Deregister("ornl/xrd-1") {
 		t.Fatal("foreign registry must not deregister another site's record")
 	}
 }
 
 func TestLeaseExpiryWithoutRenewal(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.DefaultTTL = 6 * sim.Second
 	d.Start()
-	defer d.Stop()
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
 
 	// Propagate, then stop renewing: remote copies must expire. The origin
 	// keeps its own live record (owner records don't self-expire).
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	if _, ok := d.Registry("anl").Resolve("ornl/xrd-1"); !ok {
 		t.Fatal("record did not propagate")
 	}
 	// Kill the origin's gossip by partitioning it away; without renewal
 	// traffic, anl's lease lapses.
 	d.Stop()
-	if err := eng.RunUntil(20 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 20*sim.Second)
 	if _, ok := d.Registry("anl").Resolve("ornl/xrd-1"); ok {
 		t.Fatal("foreign record survived past TTL without renewal")
 	}
@@ -136,34 +116,28 @@ func TestLeaseExpiryWithoutRenewal(t *testing.T) {
 }
 
 func TestRenewKeepsRecordAlive(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.DefaultTTL = 6 * sim.Second
 	d.Start()
-	defer d.Stop()
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
-	stopRenew := eng.Ticker(2*sim.Second, func(int) { reg.Renew("ornl/xrd-1") })
+	stopRenew := st.Eng.Ticker(2*sim.Second, func(int) { reg.Renew("ornl/xrd-1") })
 	defer stopRenew()
 
-	if err := eng.RunUntil(30 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 30*sim.Second)
 	if _, ok := d.Registry("slac").Resolve("ornl/xrd-1"); !ok {
 		t.Fatal("renewed record expired remotely")
 	}
 }
 
 func TestPartitionStallsThenHeals(t *testing.T) {
-	eng, net, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	// Partition slac away before registering.
-	net.Partition([]netsim.SiteID{"ornl", "anl"}, []netsim.SiteID{"slac"})
+	st.Net.Partition([]netsim.SiteID{"ornl", "anl"}, []netsim.SiteID{"slac"})
 	d.Registry("ornl").Register(xrdRecord("ornl/xrd-1", 0.1))
 
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	if _, ok := d.Registry("anl").Resolve("ornl/xrd-1"); !ok {
 		t.Fatal("same-side peer should converge during partition")
 	}
@@ -171,29 +145,22 @@ func TestPartitionStallsThenHeals(t *testing.T) {
 		t.Fatal("record crossed a partition")
 	}
 
-	net.Heal([]netsim.SiteID{"ornl", "anl"}, []netsim.SiteID{"slac"})
-	if err := eng.RunUntil(25 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.Net.Heal([]netsim.SiteID{"ornl", "anl"}, []netsim.SiteID{"slac"})
+	st.RunUntil(t, 25*sim.Second)
 	if _, ok := d.Registry("slac").Resolve("ornl/xrd-1"); !ok {
 		t.Fatal("record did not propagate after heal")
 	}
 }
 
 func TestUpdateWinsByVersion(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
-	if err := eng.RunUntil(8 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 8*sim.Second)
 	// Re-register with improved capability; version bumps.
 	reg.Register(xrdRecord("ornl/xrd-1", 0.01))
-	if err := eng.RunUntil(20 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 20*sim.Second)
 	got, ok := d.Registry("slac").Resolve("ornl/xrd-1")
 	if !ok {
 		t.Fatal("record missing")
@@ -204,7 +171,7 @@ func TestUpdateWinsByVersion(t *testing.T) {
 }
 
 func TestNegotiate(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	reg := d.Registry("ornl")
 	reg.Register(Record{Instance: "a", Type: "_synth._aisle",
 		Capabilities: map[string]float64{"temp_max": 400, "throughput": 5}})
@@ -235,7 +202,7 @@ func TestNegotiate(t *testing.T) {
 }
 
 func TestConvergedDetectsDivergence(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	if !d.Converged() {
 		t.Fatal("empty directory should be converged")
 	}
@@ -246,7 +213,7 @@ func TestConvergedDetectsDivergence(t *testing.T) {
 }
 
 func TestRecordCloneIsolation(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	reg := d.Registry("ornl")
 	rec := xrdRecord("ornl/xrd-1", 0.1)
 	reg.Register(rec)
@@ -263,7 +230,7 @@ func TestRecordCloneIsolation(t *testing.T) {
 }
 
 func TestLiveCount(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("a", 1))
 	reg.Register(xrdRecord("b", 1))

@@ -13,15 +13,13 @@ import (
 // engine freelists have grown to the round's working set).
 func convergedStack(tb testing.TB, n int) *gossipStack {
 	tb.Helper()
-	st := newGossipStack(n, 3, false)
-	st.net.FullMesh(st.sites, netsim.Link{Latency: 15 * sim.Millisecond}) // reconnect without loss
-	for _, s := range st.sites {
+	st := newGossip(n, 3, false)
+	st.Net.FullMesh(st.Sites, netsim.Link{Latency: 15 * sim.Millisecond}) // reconnect without loss
+	for _, s := range st.Sites {
 		st.dir.registries[s].Register(Record{Instance: string(s) + "/a", Type: diffTypes[0]})
 		st.dir.registries[s].Register(Record{Instance: string(s) + "/b", Type: diffTypes[1]})
 	}
-	if err := st.eng.RunUntil(10 * st.dir.GossipInterval); err != nil {
-		tb.Fatal(err)
-	}
+	st.RunUntil(tb, 10*st.dir.GossipInterval)
 	if !st.dir.Converged() {
 		tb.Fatal("directory did not converge")
 	}
@@ -32,7 +30,7 @@ func convergedStack(tb testing.TB, n int) *gossipStack {
 // level: the same snapshot until the record set changes, then a new one
 // with a new slice, the old one left exactly as published.
 func TestPublishedSnapshotIdentity(t *testing.T) {
-	_, _, d := testDirectory(t)
+	_, d := testDirectory(t)
 	ornl, anl := d.Registry("ornl"), d.Registry("anl")
 	ornl.Register(xrdRecord("ornl/xrd-1", 0.1))
 	old := ornl.snapshot()
@@ -84,7 +82,7 @@ func TestConvergedGossipAllocatesNothing(t *testing.T) {
 	rounds := st.dir.metrics.Counter("discovery.gossip_rounds").Value()
 	merged := st.dir.metrics.Counter("discovery.merged_records").Value()
 	avg := testing.AllocsPerRun(20, func() {
-		if err := st.eng.RunUntil(st.eng.Now() + st.dir.GossipInterval); err != nil {
+		if err := st.Eng.RunUntil(st.Eng.Now() + st.dir.GossipInterval); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -109,28 +107,21 @@ func TestConvergedGossipAllocatesNothing(t *testing.T) {
 // was (peers keep re-leasing it), which is what stops a healed straggler
 // from resurrecting the record.
 func TestKnownTombstoneIsNotReaccepted(t *testing.T) {
-	eng, _, d := testDirectory(t)
+	st, d := testDirectory(t)
 	d.Start()
-	defer d.Stop()
 	reg := d.Registry("ornl")
 	reg.Register(xrdRecord("ornl/xrd-1", 0.1))
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	if !reg.Deregister("ornl/xrd-1") {
 		t.Fatal("deregister failed")
 	}
-	if err := eng.RunUntil(20 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 20*sim.Second)
 	merged := d.metrics.Counter("discovery.merged_records").Value()
 	gens := make([]uint64, len(sites))
 	for i, s := range sites {
 		gens[i] = d.Registry(s).gen
 	}
-	if err := eng.RunUntil(eng.Now() + 100*d.GossipInterval); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, st.Eng.Now()+100*d.GossipInterval)
 	if got := d.metrics.Counter("discovery.merged_records").Value(); got != merged {
 		t.Fatalf("merged_records moved %d -> %d over 100 rounds of a converged directory", merged, got)
 	}
@@ -162,10 +153,53 @@ func BenchmarkGossipRound(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := st.eng.RunUntil(st.eng.Now() + st.dir.GossipInterval); err != nil {
+				if err := st.Eng.RunUntil(st.Eng.Now() + st.dir.GossipInterval); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// TestInFlightSnapshotIsNotRewritten: a snapshot that is still on the wire
+// when its sender's registry changes must arrive with the contents it was
+// sent with, and the sender's next round must carry the new contents.
+func TestInFlightSnapshotIsNotRewritten(t *testing.T) {
+	st, d := testDirectory(t)
+	// ornl-slac is slow, so ornl's push sits on the wire for 600ms, and slac
+	// hears from nobody else.
+	st.Net.Connect("ornl", "slac", netsim.Link{Latency: 600 * sim.Millisecond})
+	st.Net.SetLinkUp("anl", "slac", false)
+	d.Start()
+	ornl, slac := d.Registry("ornl"), d.Registry("slac")
+	ornl.Register(xrdRecord("ornl/xrd-1", 0.1))
+
+	// First round at 2s; change ornl while its push to slac is in flight.
+	st.RunUntil(t, 2*sim.Second+100*sim.Millisecond)
+	ornl.Register(xrdRecord("ornl/xrd-2", 0.2))
+	ornl.Renew("ornl/xrd-1")
+	_ = ornl.snapshot() // what any sync handled meanwhile does: export the new set
+	st.RunUntil(t, 2*sim.Second+500*sim.Millisecond)
+	if got, ok := d.Registry("anl").Resolve("ornl/xrd-1"); !ok || got.Version != 1 {
+		t.Fatalf("anl should hold xrd-1 v1 from the first round, got %+v ok=%v", got, ok)
+	}
+	if _, ok := slac.Resolve("ornl/xrd-1"); ok {
+		t.Fatal("slow push arrived early; the test's timing assumptions are off")
+	}
+	// The old snapshot lands at 2.6s: exactly xrd-1 at version 1.
+	st.RunUntil(t, 2*sim.Second+700*sim.Millisecond)
+	if got, ok := slac.Resolve("ornl/xrd-1"); !ok || got.Version != 1 {
+		t.Fatalf("slac should have merged the snapshot as sent (xrd-1 v1), got %+v ok=%v", got, ok)
+	}
+	if _, ok := slac.Resolve("ornl/xrd-2"); ok {
+		t.Fatal("slac saw xrd-2: the in-flight snapshot was rewritten after it was sent")
+	}
+	// The next round (4s, landing 4.6s) carries the new contents.
+	st.RunUntil(t, 5*sim.Second)
+	if got, ok := slac.Resolve("ornl/xrd-1"); !ok || got.Version != 2 {
+		t.Fatalf("slac should hold xrd-1 v2 after the next round, got %+v ok=%v", got, ok)
+	}
+	if _, ok := slac.Resolve("ornl/xrd-2"); !ok {
+		t.Fatal("slac should hold xrd-2 after the next round")
 	}
 }

@@ -7,24 +7,20 @@ import (
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
-func testMesh(t *testing.T) (*sim.Engine, *netsim.Network, *Mesh) {
+func testMesh(t *testing.T) (*simtest.Stack, *Mesh) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(3))
-	for _, s := range []netsim.SiteID{"ornl", "anl"} {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.Connect("ornl", "anl", netsim.Link{Latency: 10 * sim.Millisecond, Bandwidth: 10e6})
-	m := NewMesh(net)
+	st := simtest.New(rng.New(3), netsim.Link{Latency: 10 * sim.Millisecond, Bandwidth: 10e6}, "ornl", "anl")
+	m := NewMesh(st.Net)
 	m.AddNode("ornl")
 	m.AddNode("anl")
-	return eng, net, m
+	return st, m
 }
 
 func TestPutGetContentAddressed(t *testing.T) {
-	_, _, m := testMesh(t)
+	_, m := testMesh(t)
 	n := m.Node("ornl")
 	data := []byte("diffraction pattern")
 	ref := n.Put(data)
@@ -45,7 +41,7 @@ func TestPutGetContentAddressed(t *testing.T) {
 }
 
 func TestFetchLocalAndRemote(t *testing.T) {
-	eng, _, m := testMesh(t)
+	st, m := testMesh(t)
 	ref := m.Node("ornl").Put(make([]byte, 1e6)) // 1MB
 
 	var localAt, remoteAt sim.Time
@@ -53,7 +49,7 @@ func TestFetchLocalAndRemote(t *testing.T) {
 		if err != nil {
 			t.Errorf("local fetch: %v", err)
 		}
-		localAt = eng.Now()
+		localAt = st.Eng.Now()
 	})
 	m.Fetch("anl", ref, func(d []byte, err error) {
 		if err != nil {
@@ -62,11 +58,9 @@ func TestFetchLocalAndRemote(t *testing.T) {
 		if len(d) != 1e6 {
 			t.Errorf("remote fetch size %d", len(d))
 		}
-		remoteAt = eng.Now()
+		remoteAt = st.Eng.Now()
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if localAt >= remoteAt {
 		t.Fatalf("remote fetch (%v) should be slower than local (%v)", remoteAt, localAt)
 	}
@@ -77,21 +71,19 @@ func TestFetchLocalAndRemote(t *testing.T) {
 }
 
 func TestFetchUnreachable(t *testing.T) {
-	eng, net, m := testMesh(t)
+	st, m := testMesh(t)
 	ref := m.Node("ornl").Put([]byte("x"))
-	net.SetLinkUp("ornl", "anl", false)
+	st.Net.SetLinkUp("ornl", "anl", false)
 	var gotErr error
 	m.Fetch("anl", ref, func(_ []byte, err error) { gotErr = err })
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if !errors.Is(gotErr, ErrUnreachable) {
 		t.Fatalf("err = %v, want ErrUnreachable", gotErr)
 	}
 }
 
 func TestReplicate(t *testing.T) {
-	eng, _, m := testMesh(t)
+	st, m := testMesh(t)
 	ref := m.Node("ornl").Put([]byte("payload"))
 	var newRef Ref
 	m.Replicate(ref, "anl", func(r Ref, err error) {
@@ -100,9 +92,7 @@ func TestReplicate(t *testing.T) {
 		}
 		newRef = r
 	})
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if newRef.Site != "anl" || !m.Node("anl").Has(newRef.ID) {
 		t.Fatal("replica not stored at anl")
 	}
@@ -112,7 +102,7 @@ func TestReplicate(t *testing.T) {
 }
 
 func TestPublishAndSearch(t *testing.T) {
-	_, _, m := testMesh(t)
+	_, m := testMesh(t)
 	n := m.Node("ornl")
 	n.Publish(Dataset{ID: "ds-1", Title: "Perovskite PLQY sweep", Domain: "materials",
 		Keywords: []string{"perovskite", "nanocrystal"}})
@@ -134,7 +124,7 @@ func TestPublishAndSearch(t *testing.T) {
 }
 
 func TestDatasetLookup(t *testing.T) {
-	_, _, m := testMesh(t)
+	_, m := testMesh(t)
 	n := m.Node("ornl")
 	n.Publish(Dataset{ID: "d1", Title: "T"})
 	if _, err := n.Dataset("d1"); err != nil {
@@ -261,7 +251,7 @@ func TestSchemaValidateRecord(t *testing.T) {
 }
 
 func TestFAIRScoring(t *testing.T) {
-	_, _, m := testMesh(t)
+	_, m := testMesh(t)
 	n := m.Node("ornl")
 	sch, _ := m.Schemas.Register(Schema{Name: "plqy", Fields: []Field{
 		{Name: "plqy", Type: TypeNumber, Unit: "ratio", Required: true},
@@ -291,7 +281,7 @@ func TestFAIRScoring(t *testing.T) {
 }
 
 func TestCuratorRaisesFAIR(t *testing.T) {
-	_, _, m := testMesh(t)
+	_, m := testMesh(t)
 	n := m.Node("ornl")
 	for i := 0; i < 10; i++ {
 		n.Publish(Dataset{

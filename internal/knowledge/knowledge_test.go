@@ -3,36 +3,28 @@ package knowledge
 import (
 	"testing"
 
-	"github.com/aisle-sim/aisle/internal/bus"
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 )
 
 var sites = []netsim.SiteID{"ornl", "anl", "slac"}
 
-func testFed(t *testing.T, shared bool) (*sim.Engine, *netsim.Network, *Federation) {
+func testFed(t *testing.T, shared bool) (*simtest.Stack, *Federation) {
 	t.Helper()
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(6))
-	for _, s := range sites {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.FullMesh(sites, netsim.Link{Latency: 20 * sim.Millisecond})
-	fab := bus.NewFabric(net)
-	return eng, net, NewFederation(fab, sites, shared)
+	st := simtest.New(rng.New(6), netsim.Link{Latency: 20 * sim.Millisecond}, sites...)
+	return st, NewFederation(st.Fab, sites, shared)
 }
 
 func pt(t float64) param.Point { return param.Point{"temperature": t, "ratio": 0.5} }
 
 func TestSharedPropagation(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	fed.Base("ornl").AddObservation("perovskite", pt(150), 0.8)
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	for _, s := range sites {
 		if v, ok := fed.Base(s).HasObservation("perovskite", pt(150)); !ok || v != 0.8 {
 			t.Fatalf("observation not visible at %s (ok=%v v=%v)", s, ok, v)
@@ -44,11 +36,9 @@ func TestSharedPropagation(t *testing.T) {
 }
 
 func TestIsolatedStaysLocal(t *testing.T) {
-	eng, _, fed := testFed(t, false)
+	st, fed := testFed(t, false)
 	fed.Base("ornl").AddObservation("perovskite", pt(150), 0.8)
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	if _, ok := fed.Base("anl").HasObservation("perovskite", pt(150)); ok {
 		t.Fatal("isolated mode leaked knowledge")
 	}
@@ -58,14 +48,12 @@ func TestIsolatedStaysLocal(t *testing.T) {
 }
 
 func TestObservationsSortedAndDomainScoped(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	b := fed.Base("ornl")
 	b.AddObservation("perovskite", pt(150), 0.8)
 	b.AddObservation("perovskite", pt(120), 0.5)
 	b.AddObservation("alloy", param.Point{"frac_a": 0.5}, 9.0)
-	if err := eng.RunUntil(3 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 3*sim.Second)
 	points, values := fed.Base("anl").Observations("perovskite")
 	if len(points) != 2 || len(values) != 2 {
 		t.Fatalf("got %d perovskite observations", len(points))
@@ -115,18 +103,14 @@ func TestVectorClockDominance(t *testing.T) {
 }
 
 func TestNewerVersionWins(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	b := fed.Base("ornl")
 	b.AddObservation("perovskite", pt(150), 0.5)
-	if err := eng.RunUntil(3 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 3*sim.Second)
 	// Re-measure the same point with a better instrument: same key, newer
 	// clock.
 	b.AddObservation("perovskite", pt(150), 0.82)
-	if err := eng.RunUntil(6 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 6*sim.Second)
 	v, ok := fed.Base("slac").HasObservation("perovskite", pt(150))
 	if !ok || v != 0.82 {
 		t.Fatalf("stale value at slac: %v", v)
@@ -134,13 +118,11 @@ func TestNewerVersionWins(t *testing.T) {
 }
 
 func TestConcurrentUpdatesResolveDeterministically(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	// Two sites measure the same point before seeing each other's result.
 	fed.Base("ornl").AddObservation("perovskite", pt(150), 0.6)
 	fed.Base("anl").AddObservation("perovskite", pt(150), 0.7)
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	want, _ := fed.Base("ornl").HasObservation("perovskite", pt(150))
 	if want != 0.7 {
 		t.Fatalf("conflict resolution picked %v, want 0.7 (higher value)", want)
@@ -154,23 +136,15 @@ func TestConcurrentUpdatesResolveDeterministically(t *testing.T) {
 }
 
 func TestPropagationSurvivesLoss(t *testing.T) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(7))
-	for _, s := range sites {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.FullMesh(sites, netsim.Link{Latency: 20 * sim.Millisecond, Loss: 0.4})
-	fab := bus.NewFabric(net)
-	fed := NewFederation(fab, sites, true)
+	st := simtest.New(rng.New(7), netsim.Link{Latency: 20 * sim.Millisecond, Loss: 0.4}, sites...)
+	fed := NewFederation(st.Fab, sites, true)
 	fed.AckTimeout = 200 * sim.Millisecond
 	fed.MaxAttempts = 12
 
 	for i := 0; i < 10; i++ {
 		fed.Base("ornl").AddObservation("perovskite", pt(100+float64(i)), float64(i)/10)
 	}
-	if err := eng.RunUntil(30 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 30*sim.Second)
 	for _, s := range sites {
 		if n := fed.Base(s).Size(); n != 10 {
 			t.Fatalf("%s holds %d/10 insights despite at-least-once delivery", s, n)
@@ -179,14 +153,12 @@ func TestPropagationSurvivesLoss(t *testing.T) {
 }
 
 func TestGetAndNotes(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	fed.Base("ornl").Add(Insight{
 		Kind: KindNote, Domain: "perovskite",
 		Note: "iodide-rich compositions unstable above 200C",
 	})
-	if err := eng.RunUntil(3 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 3*sim.Second)
 	ins, ok := fed.Base("anl").Get("perovskite/note/iodide-rich compositions unstable above 200C")
 	if !ok {
 		t.Fatal("note not propagated")
@@ -200,13 +172,11 @@ func TestGetAndNotes(t *testing.T) {
 }
 
 func TestQuarantineOutOfBoundsObservation(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	fed.Bounds = map[string]SanityBound{"perovskite": {Min: 0, Max: 1}}
 	fed.Base("ornl").AddObservation("perovskite", pt(150), 5.0) // impossible PLQY
 	fed.Base("ornl").AddObservation("perovskite", pt(120), 0.4) // fine
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	// Vetting is receiver-side: the origin keeps its own poison, the peers
 	// quarantine it and never expose it to optimizers.
 	for _, s := range []netsim.SiteID{"anl", "slac"} {
@@ -236,16 +206,14 @@ func TestQuarantineOutOfBoundsObservation(t *testing.T) {
 }
 
 func TestQuarantineOutOfSpacePoint(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	space := param.Space{
 		{Name: "temperature", Lo: 60, Hi: 220},
 		{Name: "ratio", Lo: 0, Hi: 1},
 	}
 	fed.Bounds = map[string]SanityBound{"perovskite": {Space: space}}
 	fed.Base("ornl").AddObservation("perovskite", pt(500), 0.3) // off the envelope
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	if _, ok := fed.Base("anl").HasObservation("perovskite", pt(500)); ok {
 		t.Fatal("out-of-space point was merged")
 	}
@@ -255,13 +223,11 @@ func TestQuarantineOutOfSpacePoint(t *testing.T) {
 }
 
 func TestQuarantineUntrustedSource(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	fed.Trusted = func(at, source netsim.SiteID) bool { return source != "slac" }
 	fed.Base("slac").AddObservation("perovskite", pt(150), 0.9)
 	fed.Base("ornl").AddObservation("perovskite", pt(120), 0.8)
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	if _, ok := fed.Base("ornl").HasObservation("perovskite", pt(150)); ok {
 		t.Fatal("insight from an untrusted principal was merged")
 	}
@@ -274,18 +240,14 @@ func TestQuarantineUntrustedSource(t *testing.T) {
 }
 
 func TestQuarantineDoesNotAdvanceClock(t *testing.T) {
-	eng, _, fed := testFed(t, true)
+	st, fed := testFed(t, true)
 	fed.Bounds = map[string]SanityBound{"perovskite": {Min: 0, Max: 1}}
 	fed.Base("ornl").AddObservation("perovskite", pt(150), 7.0)
-	if err := eng.RunUntil(5 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 5*sim.Second)
 	// A quarantined insight must be causally invisible: subsequent good
 	// traffic converges exactly as if the poison never existed.
 	fed.Base("ornl").AddObservation("perovskite", pt(130), 0.6)
-	if err := eng.RunUntil(10 * sim.Second); err != nil {
-		t.Fatal(err)
-	}
+	st.RunUntil(t, 10*sim.Second)
 	for _, s := range sites {
 		if _, ok := fed.Base(s).HasObservation("perovskite", pt(130)); !ok {
 			t.Fatalf("good observation missing at %s after a quarantine event", s)

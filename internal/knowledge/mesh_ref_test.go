@@ -2,7 +2,6 @@ package knowledge
 
 import (
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 )
 
@@ -71,14 +71,14 @@ func (b *refBase) merge(remote *refInsight) {
 	if !ok {
 		c := *remote
 		b.insights[remote.Key] = &c
-		b.fed.counts["knowledge.merged"]++
+		b.fed.metrics.Counter("knowledge.merged").Inc()
 		return
 	}
 	switch {
 	case remote.clock.Dominates(cur.clock):
 		c := *remote
 		b.insights[remote.Key] = &c
-		b.fed.counts["knowledge.merged"]++
+		b.fed.metrics.Counter("knowledge.merged").Inc()
 	case cur.clock.Dominates(remote.clock):
 		// keep current
 	default:
@@ -86,7 +86,7 @@ func (b *refBase) merge(remote *refInsight) {
 			(remote.Value == cur.Value && remote.Source < cur.Source) {
 			c := *remote
 			b.insights[remote.Key] = &c
-			b.fed.counts["knowledge.conflicts"]++
+			b.fed.metrics.Counter("knowledge.conflicts").Inc()
 		}
 	}
 }
@@ -94,15 +94,15 @@ func (b *refBase) merge(remote *refInsight) {
 // refFed is the old Federation reduced to what decides a base's contents:
 // Add, the subscription handler's vet -> quarantine | merge, the counters.
 type refFed struct {
-	fabric *bus.Fabric
-	vetter *Federation // holds Bounds/Trusted; vet is code this PR does not touch
-	bases  map[netsim.SiteID]*refBase
-	counts map[string]int64 // absent until first counted
+	fabric  *bus.Fabric
+	vetter  *Federation // holds the options (Bounds, Trusted, AckTimeout, MaxAttempts) and vet
+	bases   map[netsim.SiteID]*refBase
+	metrics *telemetry.Registry
 }
 
 func newRefFed(fabric *bus.Fabric, sites []netsim.SiteID) *refFed {
 	f := &refFed{fabric: fabric, vetter: &Federation{}, bases: map[netsim.SiteID]*refBase{},
-		counts: map[string]int64{}}
+		metrics: telemetry.NewRegistry()}
 	for _, s := range sites {
 		b := &refBase{site: s, fed: f, insights: map[string]*refInsight{},
 			quarantined: map[string]*refInsight{}, clock: refClock{}}
@@ -113,7 +113,7 @@ func newRefFed(fabric *bus.Fabric, sites []netsim.SiteID) *refFed {
 				if f.vetter.vet(b.site, &ins.Insight) != "" {
 					c := *ins
 					b.quarantined[ins.Key] = &c
-					f.counts[telemetry.Key("knowledge.quarantined", "site", string(ins.Source))]++
+					f.metrics.Counter(telemetry.Key("knowledge.quarantined", "site", string(ins.Source))).Inc()
 					return
 				}
 				b.merge(ins)
@@ -122,7 +122,7 @@ func newRefFed(fabric *bus.Fabric, sites []netsim.SiteID) *refFed {
 	return f
 }
 
-func (b *refBase) add(ins Insight, ackTimeout sim.Time, maxAttempts int) {
+func (b *refBase) add(ins Insight) {
 	b.clock[b.site]++
 	ins.Source = b.site
 	ins.At = b.fed.fabric.Engine().Now()
@@ -140,63 +140,41 @@ func (b *refBase) add(ins Insight, ackTimeout sim.Time, maxAttempts int) {
 	}
 	c := &refInsight{Insight: ins, clock: b.clock.Copy()}
 	b.insights[ins.Key] = c
-	b.fed.counts["knowledge.added"]++
+	b.fed.metrics.Counter("knowledge.added").Inc()
 	b.fed.fabric.Publish(bus.PublishOpts{
 		From: bus.Address{Site: b.site, Name: "knowledge"}, Topic: "knowledge", Payload: c,
-		Size: 300, QoS: bus.AtLeastOnce, AckTimeout: ackTimeout, MaxAttempts: maxAttempts,
+		Size: 300, QoS: bus.AtLeastOnce, AckTimeout: b.fed.vetter.AckTimeout, MaxAttempts: b.fed.vetter.MaxAttempts,
 	})
-	b.fed.counts["knowledge.published"]++
+	b.fed.metrics.Counter("knowledge.published").Inc()
 }
 
-// meshStack is one complete sim/netsim/bus stack carrying either the
-// package's federation or the reference.
+// meshStack carries either the package's federation or the reference on
+// a simtest stack.
 type meshStack struct {
-	eng   *sim.Engine
-	net   *netsim.Network
-	fab   *bus.Fabric
-	sites []netsim.SiteID
-	fed   *Federation
-	ref   *refFed
+	*simtest.Stack
+	fed     *Federation
+	ref     *refFed
+	metrics *telemetry.Registry // the knowledge.* counters of either
 }
 
-const (
-	meshAckTimeout  = 300 * sim.Millisecond
-	meshMaxAttempts = 3
-)
-
-func newMeshStack(n int, seed uint64, reference bool) *meshStack {
-	st := &meshStack{eng: sim.NewEngine()}
-	st.net = netsim.New(st.eng, rng.New(seed))
-	for i := 0; i < n; i++ {
-		id := netsim.SiteID(fmt.Sprintf("s%d", i))
-		st.sites = append(st.sites, id)
-		st.net.AddSite(id).Firewall.AllowAll()
-	}
-	st.net.FullMesh(st.sites, netsim.Link{Latency: 20 * sim.Millisecond, Loss: 0.05})
-	st.fab = bus.NewFabric(st.net)
+func newMesh(n int, seed uint64, reference bool) *meshStack {
+	st := &meshStack{Stack: simtest.New(rng.New(seed), netsim.Link{Latency: 20 * sim.Millisecond, Loss: 0.05}, simtest.Names(n)...)}
 	if reference {
-		st.ref = newRefFed(st.fab, st.sites)
+		st.ref = newRefFed(st.Fab, st.Sites)
+		st.metrics = st.ref.metrics
 	} else {
-		st.fed = NewFederation(st.fab, st.sites, true)
-		st.fed.AckTimeout, st.fed.MaxAttempts = meshAckTimeout, meshMaxAttempts
+		st.fed = NewFederation(st.Fab, st.Sites, true)
+		st.metrics = st.fed.Metrics()
 	}
 	return st
 }
 
-func (st *meshStack) vetting(bounds map[string]SanityBound, trusted func(at, source netsim.SiteID) bool) {
-	f := st.fed
-	if st.ref != nil {
-		f = st.ref.vetter
-	}
-	f.Bounds, f.Trusted = bounds, trusted
-}
-
 func (st *meshStack) add(site int, ins Insight) {
 	if st.ref != nil {
-		st.ref.bases[st.sites[site]].add(ins, meshAckTimeout, meshMaxAttempts)
+		st.ref.bases[st.Sites[site]].add(ins)
 		return
 	}
-	st.fed.Base(st.sites[site]).Add(ins)
+	st.fed.Base(st.Sites[site]).Add(ins)
 }
 
 func (st *meshStack) addObservation(site int, domain string, p param.Point, v float64) {
@@ -205,10 +183,10 @@ func (st *meshStack) addObservation(site int, domain string, p param.Point, v fl
 			Key: fmt.Sprintf("%s/obs/%s", domain, p.Key())})
 		return
 	}
-	st.fed.Base(st.sites[site]).AddObservation(domain, p, v)
+	st.fed.Base(st.Sites[site]).AddObservation(domain, p, v)
 }
 
-// heldInsight is what a base holds under one key, clocks spelled per site.
+// heldInsight is what a base holds under one key, its clock spelled per site.
 type heldInsight struct {
 	Kind   Kind
 	Value  float64
@@ -217,132 +195,110 @@ type heldInsight struct {
 	Clock  []uint64
 }
 
-// baseView is everything observable about one base.
-type baseView struct {
-	Clock       []uint64
-	Insights    map[string]heldInsight
-	Quarantined map[string]heldInsight
-}
-
-func (st *meshStack) view(site int) baseView {
-	v := baseView{Insights: map[string]heldInsight{}, Quarantined: map[string]heldInsight{}}
-	n := len(st.sites)
+// view is everything observable about one base: its clock, what it holds
+// and what it quarantined, every clock spelled per site.
+func (st *meshStack) view(site int) any {
+	v := struct {
+		Clock                 []uint64
+		Insights, Quarantined map[string]heldInsight
+	}{Insights: map[string]heldInsight{}, Quarantined: map[string]heldInsight{}}
+	// A dense clock shorter than the federation reads zero for the sites it
+	// lacks, like a missing map key; the reference's clocks are all sparse.
+	n := len(st.Sites)
+	spell := func(dense VectorClock, sparse refClock) []uint64 {
+		if len(dense) > n || len(sparse) > n {
+			panic("clock names a site outside the federation")
+		}
+		out := append(make([]uint64, 0, n), dense...)[:n]
+		for i, s := range st.Sites {
+			out[i] += sparse[s]
+		}
+		return out
+	}
+	hold := func(m map[string]heldInsight, ins *Insight, clock []uint64) {
+		m[ins.Key] = heldInsight{ins.Kind, ins.Value, ins.Source, ins.At, clock}
+	}
 	if st.ref != nil {
-		spell := func(c refClock) []uint64 {
-			out := make([]uint64, n)
-			for i, s := range st.sites {
-				out[i] = c[s]
-			}
-			if len(c) > n {
-				panic("reference clock names a site outside the federation")
-			}
-			return out
+		b := st.ref.bases[st.Sites[site]]
+		v.Clock = spell(nil, b.clock)
+		for _, ins := range b.insights {
+			hold(v.Insights, &ins.Insight, spell(nil, ins.clock))
 		}
-		b := st.ref.bases[st.sites[site]]
-		v.Clock = spell(b.clock)
-		for k, ins := range b.insights {
-			v.Insights[k] = heldInsight{ins.Kind, ins.Value, ins.Source, ins.At, spell(ins.clock)}
-		}
-		for k, ins := range b.quarantined {
-			v.Quarantined[k] = heldInsight{ins.Kind, ins.Value, ins.Source, ins.At, spell(ins.clock)}
+		for _, ins := range b.quarantined {
+			hold(v.Quarantined, &ins.Insight, spell(nil, ins.clock))
 		}
 		return v
 	}
-	spell := func(c VectorClock) []uint64 {
-		if len(c) > n {
-			panic("clock longer than the federation")
-		}
-		// A clock shorter than the federation reads zero for the sites it
-		// lacks, like a missing map key.
-		return append(make([]uint64, 0, n), c...)[:n]
-	}
-	b := st.fed.Base(st.sites[site])
-	v.Clock = spell(b.clock)
+	b := st.fed.Base(st.Sites[site])
+	v.Clock = spell(b.clock, nil)
 	for k := range b.insights {
 		ins, _ := b.Get(k)
-		v.Insights[k] = heldInsight{ins.Kind, ins.Value, ins.Source, ins.At, spell(ins.Clock)}
+		hold(v.Insights, &ins, spell(ins.Clock, nil))
 	}
 	for _, ins := range b.Quarantined() {
-		v.Quarantined[ins.Key] = heldInsight{ins.Kind, ins.Value, ins.Source, ins.At, spell(ins.Clock)}
+		hold(v.Quarantined, &ins, spell(ins.Clock, nil))
 	}
 	return v
 }
 
-// counters lists every knowledge.* counter that exists, so the moment a
-// counter first appears in a metrics dump is compared too.
-func (st *meshStack) counters() map[string]int64 {
-	if st.ref != nil {
-		return st.ref.counts
-	}
-	out := map[string]int64{}
-	reg := st.fed.Metrics()
-	for _, name := range reg.Names() {
-		if c := reg.FindCounter(name); c != nil {
-			out[name] = c.Value()
-		}
-	}
-	return out
-}
-
-func compareMesh(t *testing.T, got, want *meshStack, where string) {
-	t.Helper()
-	if g, w := got.eng.Now(), want.eng.Now(); g != w {
-		t.Fatalf("%s: clocks differ: %v vs %v", where, g, w)
-	}
-	if g, w := got.counters(), want.counters(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("%s: counters\n got  %v\n want %v", where, g, w)
-	}
-	for i, s := range got.sites {
-		if g, w := got.view(i), want.view(i); !reflect.DeepEqual(g, w) {
-			t.Fatalf("%s: base %s differs\n got  %+v\n want %+v", where, s, g, w)
-		}
-	}
-}
+type meshStep = simtest.Kind[*meshStack]
 
 // TestMeshMatchesReference drives the package's federation and the map-clock
 // reference through the same random schedules — fresh and repeated
 // observations, re-Adds of existing keys, derived keys, poison, link faults
 // and partitions (so redeliveries and dead letters happen) — and compares
-// every base after every step.
+// after every step every base and every knowledge.* counter, including the
+// moment a counter first appears in a metrics dump.
 func TestMeshMatchesReference(t *testing.T) {
 	schedules, steps := 200, 30
 	if testing.Short() {
 		schedules = 40
 	}
 	space := param.Space{{Name: "temp", Lo: 50, Hi: 250}, {Name: "ratio", Lo: 0, Hi: 1}}
-	waits := []sim.Time{10 * sim.Millisecond, 25 * sim.Millisecond, 100 * sim.Millisecond,
-		350 * sim.Millisecond, sim.Second, 3 * sim.Second}
 	exercised := map[string]int64{} // what the schedules reached, summed
 	for sc := 0; sc < schedules; sc++ {
 		rnd := rng.New(uint64(5000 + sc))
 		n := 3 + rnd.Intn(6)
-		got, want := newMeshStack(n, uint64(sc), false), newMeshStack(n, uint64(sc), true)
-		both := func(fn func(st *meshStack)) { fn(got); fn(want) }
+		p := &simtest.Pair[*meshStack]{T: t, Schedule: sc, Got: newMesh(n, uint64(sc), false), Want: newMesh(n, uint64(sc), true),
+			View:   (*meshStack).view,
+			Shared: func(st *meshStack) any { return st.metrics.Snapshot().Counters },
+			Rand:   rnd,
+		}
 		bounds := map[string]SanityBound{"perovskite": {Space: space, Min: 0, Max: 1}}
 		var trusted func(at, source netsim.SiteID) bool
 		if sc%3 == 0 { // s0 distrusts the last site
-			last := got.sites[n-1]
+			last := p.Got.Sites[n-1]
 			trusted = func(at, source netsim.SiteID) bool { return !(at == "s0" && source == last) }
 		}
-		both(func(st *meshStack) { st.vetting(bounds, trusted) })
-		var split [2][]netsim.SiteID // current partition, if any
-		for step := 0; step < steps; step++ {
-			site := rnd.Intn(n)
-			lattice := param.Point{"temp": 100 + 50*float64(rnd.Intn(3)), "ratio": 0.25 * float64(1+rnd.Intn(2))}
-			value := float64(rnd.Intn(5)) / 4 // few levels, so equal values meet
-			desc := ""
-			switch rnd.Intn(13) {
-			case 0, 1: // a point nobody has run
-				p := space.Sample(rnd)
-				desc = fmt.Sprintf("s%d observes fresh %s", site, p.Key())
-				both(func(st *meshStack) { st.addObservation(site, "perovskite", p, value) })
-			case 2, 3, 4: // a lattice point: repeats, newer versions, concurrent runs
-				desc = fmt.Sprintf("s%d observes %s = %v", site, lattice.Key(), value)
-				both(func(st *meshStack) { st.addObservation(site, "perovskite", lattice, value) })
-			case 5: // re-Add a key the site already holds, under its explicit key
-				held := got.view(site).Insights
+		for _, f := range []*Federation{p.Got.fed, p.Want.ref.vetter} {
+			f.Bounds, f.Trusted, f.AckTimeout, f.MaxAttempts = bounds, trusted, 300*sim.Millisecond, 3
+		}
+		var lattice param.Point
+		var value float64
+		step := -1
+		p.Prelude = func(int) {
+			step++
+			lattice = param.Point{"temp": 100 + 50*float64(rnd.Intn(3)), "ratio": 0.25 * float64(1+rnd.Intn(2))}
+			value = float64(rnd.Intn(5)) / 4 // few levels, so equal values meet
+		}
+		observe := func(site int, verb string, pt param.Point, v float64) (string, func(*meshStack)) {
+			return fmt.Sprintf("s%d %s %s = %v", site, verb, pt.Key(), v),
+				func(st *meshStack) { st.addObservation(site, "perovskite", pt, v) }
+		}
+		add := func(site int, desc string, ins Insight) (string, func(*meshStack)) {
+			return fmt.Sprintf("s%d %s", site, desc), func(st *meshStack) { st.add(site, ins) }
+		}
+		p.Steps = []meshStep{
+			{Weight: 2, Draw: func(site int) (string, func(*meshStack)) { // a point nobody has run
+				return observe(site, "observes fresh", space.Sample(rnd), value)
+			}},
+			{Weight: 3, Draw: func(site int) (string, func(*meshStack)) { // repeats, newer versions, concurrent runs
+				return observe(site, "observes", lattice, value)
+			}},
+			{Weight: 1, Draw: func(site int) (string, func(*meshStack)) { // re-Add a held key
+				held := p.Got.fed.Base(p.Got.Sites[site]).insights
 				if len(held) == 0 {
-					continue
+					return "", nil
 				}
 				keys := make([]string, 0, len(held))
 				for k := range held {
@@ -350,68 +306,38 @@ func TestMeshMatchesReference(t *testing.T) {
 				}
 				sort.Strings(keys)
 				key := keys[rnd.Intn(len(keys))]
-				desc = fmt.Sprintf("s%d re-adds %s = %v", site, key, value)
-				both(func(st *meshStack) {
-					st.add(site, Insight{Key: key, Kind: KindNote, Domain: "perovskite", Note: "revised", Value: value})
-				})
-			case 6: // no Key: Add derives it
+				return add(site, fmt.Sprintf("re-adds %s = %v", key, value),
+					Insight{Key: key, Kind: KindNote, Domain: "perovskite", Note: "revised", Value: value})
+			}},
+			{Weight: 1, Draw: func(site int) (string, func(*meshStack)) { // no Key: Add derives it
 				ins := Insight{Kind: KindObservation, Domain: "perovskite", Point: lattice, Value: value}
 				switch rnd.Intn(3) {
 				case 1:
-					ins = Insight{Kind: KindRegion, Domain: "perovskite", Point: lattice, Value: value}
+					ins.Kind = KindRegion
 				case 2:
 					ins = Insight{Kind: KindNote, Domain: "alloy", Note: fmt.Sprintf("note-%d", rnd.Intn(3))}
 				}
-				desc = fmt.Sprintf("s%d adds keyless %s", site, ins.Kind)
-				both(func(st *meshStack) { st.add(site, ins) })
-			case 7: // byzantine: value out of bounds, or point off the envelope
-				p, v := lattice, 5+value
+				return add(site, "adds keyless "+string(ins.Kind), ins)
+			}},
+			{Weight: 1, Draw: func(site int) (string, func(*meshStack)) { // value out of bounds, or point off the envelope
 				if rnd.Bool(0.5) {
-					p, v = param.Point{"temp": 500 + float64(step), "ratio": 2}, value
+					return observe(site, "poisons", param.Point{"temp": 500 + float64(step), "ratio": 2}, value)
 				}
-				desc = fmt.Sprintf("s%d poisons %s = %v", site, p.Key(), v)
-				both(func(st *meshStack) { st.addObservation(site, "perovskite", p, v) })
-			case 8: // one link down or up
-				other := (site + 1 + rnd.Intn(n-1)) % n
-				up := rnd.Bool(0.5)
-				desc = fmt.Sprintf("link s%d-s%d up=%v", site, other, up)
-				both(func(st *meshStack) { st.net.SetLinkUp(st.sites[site], st.sites[other], up) })
-			case 9: // partition, or heal the one in force
-				if split[0] != nil {
-					desc = "heal"
-					both(func(st *meshStack) { st.net.Heal(split[0], split[1]) })
-					split = [2][]netsim.SiteID{}
-					break
-				}
-				cut := 1 + rnd.Intn(n-1)
-				for i, p := range rnd.Perm(n) {
-					side := 0
-					if i >= cut {
-						side = 1
-					}
-					split[side] = append(split[side], got.sites[p])
-				}
-				desc = fmt.Sprintf("partition %v | %v", split[0], split[1])
-				both(func(st *meshStack) { st.net.Partition(split[0], split[1]) })
-			default: // deliveries, acks, redeliveries, dead letters
-				d := waits[rnd.Intn(len(waits))]
-				desc = "advance " + d.String()
-				both(func(st *meshStack) {
-					if err := st.eng.RunUntil(st.eng.Now() + d); err != nil {
-						t.Fatal(err)
-					}
-				})
-			}
-			compareMesh(t, got, want, fmt.Sprintf("schedule %d (%d sites) step %d: %s", sc, n, step, desc))
+				return observe(site, "poisons", lattice, 5+value)
+			}},
+			p.Link(1),
+			p.Split(1),
+			p.Advance(3, 10*sim.Millisecond, 25*sim.Millisecond, 100*sim.Millisecond, 350*sim.Millisecond, sim.Second, 3*sim.Second),
 		}
-		for name, v := range want.counters() {
+		p.Run(steps)
+		for name, v := range p.Want.ref.metrics.Snapshot().Counters {
 			if i := strings.IndexByte(name, '{'); i >= 0 {
 				name = name[:i]
 			}
 			exercised[name] += v
 		}
 		for _, name := range []string{"bus.pub.redelivered", "bus.pub.dlq"} {
-			exercised[name] += got.fab.Metrics().Counter(name).Value()
+			exercised[name] += p.Got.Fab.Metrics().Counter(name).Value()
 		}
 	}
 	for _, name := range []string{"knowledge.added", "knowledge.merged", "knowledge.conflicts",

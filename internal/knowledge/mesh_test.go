@@ -4,24 +4,21 @@ import (
 	"fmt"
 	"testing"
 
-	"github.com/aisle-sim/aisle/internal/bus"
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
 // lossless builds an n-site shared federation over a loss-free full mesh.
-func lossless(n int) (*sim.Engine, *netsim.Network, *Federation, []netsim.SiteID) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(9))
+func lossless(n int) (*simtest.Stack, *Federation, []netsim.SiteID) {
 	ids := make([]netsim.SiteID, n)
 	for i := range ids {
 		ids[i] = netsim.SiteID(fmt.Sprintf("s%02d", i))
-		net.AddSite(ids[i]).Firewall.AllowAll()
 	}
-	net.FullMesh(ids, netsim.Link{Latency: 20 * sim.Millisecond})
-	return eng, net, NewFederation(bus.NewFabric(net), ids, true), ids
+	st := simtest.New(rng.New(9), netsim.Link{Latency: 20 * sim.Millisecond}, ids...)
+	return st, NewFederation(st.Fab, ids, true), ids
 }
 
 // samplePoints draws n points of a four-dimensional space, the shape of the
@@ -37,20 +34,13 @@ func samplePoints(n int) []param.Point {
 	return points
 }
 
-func runTo(t testing.TB, eng *sim.Engine, at sim.Time) {
-	t.Helper()
-	if err := eng.RunUntil(at); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestInFlightInsightIsNotRewritten: a key re-added at its origin while the
 // first version is still on the wire to a slow peer. Every peer must read the
 // version that was sent to it until its own delivery of the next one lands.
 func TestInFlightInsightIsNotRewritten(t *testing.T) {
-	eng, net, fed, ids := lossless(3)
+	st, fed, ids := lossless(3)
 	origin, near, far := fed.Base(ids[0]), fed.Base(ids[1]), fed.Base(ids[2])
-	net.Connect(ids[0], ids[2], netsim.Link{Latency: 600 * sim.Millisecond})
+	st.Net.Connect(ids[0], ids[2], netsim.Link{Latency: 600 * sim.Millisecond})
 	p := pt(150)
 	read := func(b *Base) float64 {
 		v, ok := b.HasObservation("perovskite", p)
@@ -67,16 +57,16 @@ func TestInFlightInsightIsNotRewritten(t *testing.T) {
 	}
 
 	origin.AddObservation("perovskite", p, 0.5) // lands near at 20ms, far at 600ms
-	runTo(t, eng, 100*sim.Millisecond)
+	st.RunUntil(t, 100*sim.Millisecond)
 	expect("first version delivered near", 0.5, 0.5, -1)
 	origin.AddObservation("perovskite", p, 0.75) // lands near at 120ms, far at 700ms
-	runTo(t, eng, 110*sim.Millisecond)
+	st.RunUntil(t, 110*sim.Millisecond)
 	expect("re-added at the origin, second delivery still in flight", 0.75, 0.5, -1)
-	runTo(t, eng, 130*sim.Millisecond)
+	st.RunUntil(t, 130*sim.Millisecond)
 	expect("second version delivered near", 0.75, 0.75, -1)
-	runTo(t, eng, 650*sim.Millisecond)
+	st.RunUntil(t, 650*sim.Millisecond)
 	expect("first version delivered far, as sent", 0.75, 0.75, 0.5)
-	runTo(t, eng, 750*sim.Millisecond)
+	st.RunUntil(t, 750*sim.Millisecond)
 	expect("second version delivered far", 0.75, 0.75, 0.75)
 
 	// One published insight, held by every base that merged it.
@@ -100,15 +90,15 @@ func TestInFlightInsightIsNotRewritten(t *testing.T) {
 // TestQuarantinedInsightIsNotRewritten: the quarantine holds the published
 // pointer too; a newer poison under the same key replaces it per base.
 func TestQuarantinedInsightIsNotRewritten(t *testing.T) {
-	eng, _, fed, ids := lossless(3)
+	st, fed, ids := lossless(3)
 	fed.Bounds = map[string]SanityBound{"perovskite": {Min: 0, Max: 1}}
 	fed.Base(ids[0]).AddObservation("perovskite", pt(150), 5)
-	runTo(t, eng, sim.Second)
+	st.RunUntil(t, sim.Second)
 	fed.Base(ids[0]).AddObservation("perovskite", pt(150), 7)
 	if q := fed.Base(ids[1]).Quarantined(); len(q) != 1 || q[0].Value != 5 {
 		t.Fatalf("quarantine before the second delivery = %+v, want the first poison", q)
 	}
-	runTo(t, eng, 2*sim.Second)
+	st.RunUntil(t, 2*sim.Second)
 	if q := fed.Base(ids[1]).Quarantined(); len(q) != 1 || q[0].Value != 7 {
 		t.Fatalf("quarantine after the second delivery = %+v, want the second poison", q)
 	}
@@ -117,7 +107,7 @@ func TestQuarantinedInsightIsNotRewritten(t *testing.T) {
 // TestObservationHasOneKeySpelling: an observation added through Add without
 // a Key lands under the key AddObservation and HasObservation use.
 func TestObservationHasOneKeySpelling(t *testing.T) {
-	_, _, fed := testFed(t, false)
+	_, fed := testFed(t, false)
 	b := fed.Base("ornl")
 	b.Add(Insight{Kind: KindObservation, Domain: "perovskite", Point: pt(150), Value: 0.4})
 	if v, ok := b.HasObservation("perovskite", pt(150)); !ok || v != 0.4 {
@@ -141,7 +131,7 @@ func TestObservationHasOneKeySpelling(t *testing.T) {
 }
 
 func TestMergeOfNewKeyAllocatesNothing(t *testing.T) {
-	_, _, fed := testFed(t, false)
+	_, fed := testFed(t, false)
 	b := fed.Base("anl")
 	const n = 512
 	batch := make([]*Insight, n)
@@ -165,14 +155,14 @@ func TestMergeOfNewKeyAllocatesNothing(t *testing.T) {
 }
 
 func TestAddObservationAllocationBudget(t *testing.T) {
-	eng, _, fed, ids := lossless(16)
+	st, fed, ids := lossless(16)
 	const runs = 300
 	points := samplePoints(2*runs + 1)
 	i := 0
 	publish := func() {
 		fed.Base(ids[i%len(ids)]).AddObservation("perovskite", points[i], 0.5)
 		i++
-		runTo(t, eng, eng.Now()+sim.Second) // 16 deliveries, 16 acks
+		st.RunFor(t, sim.Second) // 16 deliveries, 16 acks
 	}
 	for i < runs { // warm the bus/netsim/sim pools and the maps
 		publish()
@@ -196,13 +186,13 @@ func TestAddObservationAllocationBudget(t *testing.T) {
 func BenchmarkKnowledgeFanout(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("sites=%d", n), func(b *testing.B) {
-			eng, _, fed, ids := lossless(n)
+			st, fed, ids := lossless(n)
 			points := samplePoints(1024)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				fed.Base(ids[i%n]).AddObservation("perovskite", points[i%len(points)], float64(i))
-				runTo(b, eng, eng.Now()+sim.Second)
+				st.RunFor(b, sim.Second)
 			}
 			b.StopTimer()
 			if got := fed.Metrics().Counter("knowledge.merged").Value(); got < int64(b.N*(n-1)) {

@@ -5,11 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
-	"github.com/aisle-sim/aisle/internal/bus"
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
-	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
 // Property: merge is order-independent — two bases that receive the same
@@ -43,11 +42,8 @@ func TestPropertyMergeOrderIndependent(t *testing.T) {
 		}
 
 		mkBase := func() *Base {
-			eng := sim.NewEngine()
-			net := netsim.New(eng, rng.New(1))
-			net.AddSite("z")
-			fed := NewFederation(bus.NewFabric(net), []netsim.SiteID{"z"}, false)
-			return fed.Base("z")
+			st := simtest.New(rng.New(1), netsim.Link{}, "z")
+			return NewFederation(st.Fab, st.Sites, false).Base("z")
 		}
 		b1 := mkBase()
 		b2 := mkBase()

@@ -2,6 +2,10 @@ package sched
 
 import (
 	"errors"
+	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/bus"
@@ -10,6 +14,7 @@ import (
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 	"github.com/aisle-sim/aisle/internal/twin"
 )
@@ -17,10 +22,8 @@ import (
 // testbed is a minimal federation (network + bus + discovery + fleets)
 // without the core package, mirroring core.AddInstrument's wiring.
 type testbed struct {
-	eng    *sim.Engine
+	*simtest.Stack
 	rnd    *rng.Stream
-	net    *netsim.Network
-	fab    *bus.Fabric
 	dir    *discovery.Directory
 	s      *Scheduler
 	fleets map[netsim.SiteID]*instrument.Fleet
@@ -28,23 +31,13 @@ type testbed struct {
 
 func newTestbed(t *testing.T, sites []netsim.SiteID, opts Options) *testbed {
 	t.Helper()
-	eng := sim.NewEngine()
 	rnd := rng.New(1)
-	net := netsim.New(eng, rnd.Fork("net"))
-	for _, id := range sites {
-		net.AddSite(id).Firewall.AllowAll()
-	}
-	if len(sites) > 1 {
-		// Lossless links keep the tests free of 48h RPC-timeout stalls.
-		net.FullMesh(sites, netsim.Link{
-			Latency: 15 * sim.Millisecond, Jitter: sim.Millisecond, Bandwidth: 125e6,
-		})
-	}
-	fab := bus.NewFabric(net)
-	dir := discovery.NewDirectory(fab, sites)
+	// Lossless links keep the tests free of 48h RPC-timeout stalls.
+	st := simtest.New(rnd.Fork("net"), netsim.Link{Latency: 15 * sim.Millisecond, Jitter: sim.Millisecond, Bandwidth: 125e6}, sites...)
+	dir := discovery.NewDirectory(st.Fab, sites)
 	tb := &testbed{
-		eng: eng, rnd: rnd, net: net, fab: fab, dir: dir,
-		s:      New(eng, net, fab, telemetry.NewRegistry(), rnd.Fork("sched"), opts),
+		Stack: st, rnd: rnd, dir: dir,
+		s:      New(st.Eng, st.Net, st.Fab, telemetry.NewRegistry(), rnd.Fork("sched"), opts),
 		fleets: make(map[netsim.SiteID]*instrument.Fleet),
 	}
 	for _, id := range sites {
@@ -61,31 +54,87 @@ func newTestbed(t *testing.T, sites []netsim.SiteID, opts Options) *testbed {
 	return tb
 }
 
-// addReactor installs a fluidic reactor at a site: fleet, bus endpoint,
-// and discovery record.
-func (tb *testbed) addReactor(site netsim.SiteID, id string) *instrument.Instrument {
-	in := instrument.NewFluidicReactor(tb.eng, tb.rnd, id, string(site), twin.Perovskite{})
+// install puts an instrument at a site the way core.AddInstrument does:
+// fleet, bus endpoint and discovery record. The record advertises extra
+// beside the instrument's own capabilities; ttl 0 is the default lease.
+func (tb *testbed) install(site netsim.SiteID, in *instrument.Instrument, extra map[string]float64, ttl sim.Time) *instrument.Instrument {
 	d := in.Descriptor()
 	tb.fleets[site].Add(in)
 	endpoint := "instr/" + d.ID
-	tb.fab.Broker(site).Register(endpoint, func(env *bus.Envelope, respond func(any, error)) {
-		in.Submit(env.Payload.(instrument.Command), func(res instrument.Result) {
-			respond(res, res.Err)
-		})
+	tb.Fab.Broker(site).Register(endpoint, func(env *bus.Envelope, respond func(any, error)) {
+		in.Submit(env.Payload.(instrument.Command), func(res instrument.Result) { respond(res, res.Err) })
 	})
+	caps := maps.Clone(d.Capabilities)
+	maps.Copy(caps, extra)
 	tb.dir.Registry(site).Register(discovery.Record{
-		Instance:     string(site) + "/" + d.ID,
-		Type:         d.Kind,
-		Addr:         bus.Address{Site: site, Name: endpoint},
-		Capabilities: d.Capabilities,
+		Instance: string(site) + "/" + d.ID, Type: d.Kind, Addr: bus.Address{Site: site, Name: endpoint},
+		Capabilities: caps, TTL: ttl,
 	})
 	return in
 }
 
-// converge runs gossip long enough for records to propagate.
-func (tb *testbed) converge() { _ = tb.eng.RunUntil(tb.eng.Now() + 10*sim.Second) }
+// addReactor installs a fluidic flow reactor (15 s actions).
+func (tb *testbed) addReactor(site netsim.SiteID, id string) *instrument.Instrument {
+	return tb.install(site, instrument.NewFluidicReactor(tb.Eng, tb.rnd, id, string(site), twin.Perovskite{}), nil, 0)
+}
 
-func (tb *testbed) runFor(d sim.Time) { _ = tb.eng.RunUntil(tb.eng.Now() + d) }
+// addBatchReactor installs a slow (30-minute action) synthesis robot, for
+// tests that need work to stay in flight across recovery sweeps.
+func (tb *testbed) addBatchReactor(site netsim.SiteID, id string) *instrument.Instrument {
+	return tb.install(site, instrument.NewBatchReactor(tb.Eng, tb.rnd, id, string(site), twin.Perovskite{}), nil, 0)
+}
+
+// addGraded installs a flow reactor or a batch robot whose directory record
+// also advertises a grade and a pressure rating, so capability floors split
+// the fleet. The lease is long enough that the directory can stop gossiping
+// once it has converged.
+func (tb *testbed) addGraded(site netsim.SiteID, id string, batch bool, grade, pressure float64) *instrument.Instrument {
+	build := instrument.NewFluidicReactor
+	if batch {
+		build = instrument.NewBatchReactor
+	}
+	return tb.install(site, build(tb.Eng, tb.rnd, id, string(site), twin.Perovskite{}),
+		map[string]float64{"grade": grade, "pressure": pressure}, 24*sim.Hour)
+}
+
+// floors is the requirement vocabulary: none, a floor every instrument can
+// meet, a stricter one, one nested inside it, one disjoint from both, and
+// one nothing meets (its jobs wait out their Timeout).
+var floors = []map[string]float64{
+	nil,
+	{"grade": 1},
+	{"grade": 2},
+	{"grade": 2, "pressure": 2},
+	{"pressure": 3},
+	{"grade": 9},
+}
+
+// flowJobs submits n flow-reactor jobs for tenant at site a, each sample
+// named after the tenant, and hands ok the result of each one that completes
+// without error.
+func (tb *testbed) flowJobs(tenant string, n int, ok func(instrument.Result)) {
+	for i := 0; i < n; i++ {
+		tb.s.Submit(Job{Tenant: tenant, Origin: "a", Kind: instrument.KindFlowReactor, Cmd: validCmd(tenant)},
+			func(res instrument.Result, err error) {
+				if err == nil {
+					ok(res)
+				}
+			})
+	}
+}
+
+// outcome counts a job's terminal callbacks and keeps the last error.
+type outcome struct {
+	calls int
+	err   error
+}
+
+func (o *outcome) done(_ instrument.Result, err error) { o.calls, o.err = o.calls+1, err }
+
+// converge runs gossip long enough for records to propagate.
+func (tb *testbed) converge() { _ = tb.Eng.RunUntil(tb.Eng.Now() + 10*sim.Second) }
+
+func (tb *testbed) runFor(d sim.Time) { _ = tb.Eng.RunUntil(tb.Eng.Now() + d) }
 
 // validPoint is an in-envelope perovskite synthesis command.
 func validCmd(sample string) instrument.Command {
@@ -107,21 +156,11 @@ func TestFairShareWeightedOrdering(t *testing.T) {
 	tb.s.Tenant("a", TenantConfig{ID: "beta", Weight: 1})
 
 	var order []string
-	submit := func(tenant string, n int) {
-		for i := 0; i < n; i++ {
-			tb.s.Submit(Job{Tenant: tenant, Origin: "a", Kind: instrument.KindFlowReactor,
-				Cmd: validCmd(tenant)}, func(res instrument.Result, err error) {
-				if err != nil {
-					t.Errorf("%s job failed: %v", tenant, err)
-				}
-				order = append(order, tenant)
-			})
-		}
-	}
+	record := func(res instrument.Result) { order = append(order, res.SampleID) }
 	// Beta submits first: weight, not arrival order, must set the ratio.
-	submit("beta", 12)
-	submit("alpha", 12)
-	tb.runFor(time30m())
+	tb.flowJobs("beta", 12, record)
+	tb.flowJobs("alpha", 12, record)
+	tb.runFor(30 * sim.Minute)
 
 	if len(order) != 24 {
 		t.Fatalf("completed %d of 24 jobs", len(order))
@@ -138,8 +177,6 @@ func TestFairShareWeightedOrdering(t *testing.T) {
 	}
 }
 
-func time30m() sim.Time { return 30 * sim.Minute }
-
 func TestPriorityClassesPreemptQueue(t *testing.T) {
 	tb := newTestbed(t, []netsim.SiteID{"a"}, Options{MaxInFlightPerInstrument: 1})
 	tb.addReactor("a", "flow-1")
@@ -148,18 +185,11 @@ func TestPriorityClassesPreemptQueue(t *testing.T) {
 	tb.s.Tenant("a", TenantConfig{ID: "urgent", Class: ClassUrgent})
 
 	var order []string
-	submit := func(tenant string, n int) {
-		for i := 0; i < n; i++ {
-			tb.s.Submit(Job{Tenant: tenant, Origin: "a", Kind: instrument.KindFlowReactor,
-				Cmd: validCmd(tenant)}, func(res instrument.Result, err error) {
-				order = append(order, tenant)
-			})
-		}
-	}
-	submit("normal", 10)
+	record := func(res instrument.Result) { order = append(order, res.SampleID) }
+	tb.flowJobs("normal", 10, record)
 	tb.runFor(5 * sim.Second) // the first normal job is dispatched
-	submit("urgent", 5)
-	tb.runFor(time30m())
+	tb.flowJobs("urgent", 5, record)
+	tb.runFor(30 * sim.Minute)
 
 	if len(order) != 15 {
 		t.Fatalf("completed %d of 15 jobs", len(order))
@@ -184,17 +214,10 @@ func TestAgingPromotesStarvedBackfill(t *testing.T) {
 	tb.s.Tenant("a", TenantConfig{ID: "hot", Class: ClassUrgent})
 
 	var order []string
-	add := func(tenant string, n int) {
-		for i := 0; i < n; i++ {
-			tb.s.Submit(Job{Tenant: tenant, Origin: "a", Kind: instrument.KindFlowReactor,
-				Cmd: validCmd(tenant)}, func(res instrument.Result, err error) {
-				order = append(order, tenant)
-			})
-		}
-	}
-	add("bg", 1)
-	add("hot", 20)
-	tb.runFor(time30m())
+	record := func(res instrument.Result) { order = append(order, res.SampleID) }
+	tb.flowJobs("bg", 1, record)
+	tb.flowJobs("hot", 20, record)
+	tb.runFor(30 * sim.Minute)
 
 	bgIdx := -1
 	for i, id := range order {
@@ -220,15 +243,7 @@ func TestCrossSiteRoutingPrefersIdleRemote(t *testing.T) {
 	tb.converge()
 
 	var ids []string
-	for i := 0; i < 2; i++ {
-		tb.s.Submit(Job{Tenant: "c", Origin: "a", Kind: instrument.KindFlowReactor,
-			Cmd: validCmd("x")}, func(res instrument.Result, err error) {
-			if err != nil {
-				t.Errorf("job failed: %v", err)
-			}
-			ids = append(ids, res.InstrumentID)
-		})
-	}
+	tb.flowJobs("c", 2, func(res instrument.Result) { ids = append(ids, res.InstrumentID) })
 	tb.runFor(10 * sim.Minute)
 
 	if len(ids) != 2 {
@@ -250,13 +265,7 @@ func TestRoutingSkipsDownInstrument(t *testing.T) {
 
 	local.ForceFailure()
 	var got string
-	tb.s.Submit(Job{Tenant: "c", Origin: "a", Kind: instrument.KindFlowReactor,
-		Cmd: validCmd("x")}, func(res instrument.Result, err error) {
-		if err != nil {
-			t.Errorf("job failed: %v", err)
-		}
-		got = res.InstrumentID
-	})
+	tb.flowJobs("c", 1, func(res instrument.Result) { got = res.InstrumentID })
 	tb.runFor(10 * sim.Minute)
 
 	if got != "flow-b" {
@@ -272,17 +281,8 @@ func TestWorkStealingDrainsPeerBacklog(t *testing.T) {
 
 	byInstr := map[string]int{}
 	done := 0
-	for i := 0; i < 12; i++ {
-		tb.s.Submit(Job{Tenant: "c", Origin: "a", Kind: instrument.KindFlowReactor,
-			Cmd: validCmd("x")}, func(res instrument.Result, err error) {
-			if err != nil {
-				t.Errorf("job failed: %v", err)
-			}
-			byInstr[res.InstrumentID]++
-			done++
-		})
-	}
-	tb.runFor(time30m())
+	tb.flowJobs("c", 12, func(res instrument.Result) { byInstr[res.InstrumentID]++; done++ })
+	tb.runFor(30 * sim.Minute)
 
 	if done != 12 {
 		t.Fatalf("completed %d of 12 jobs", done)
@@ -304,16 +304,9 @@ func TestInFlightAccountingRespectsCaps(t *testing.T) {
 	if got := tb.s.Capacity(); got != 4 {
 		t.Fatalf("capacity = %d, want 4", got)
 	}
-	maxFlying, done := 0, 0
-	for i := 0; i < 10; i++ {
-		tb.s.Submit(Job{Tenant: "c", Origin: "a", Kind: instrument.KindFlowReactor,
-			Cmd: validCmd("x")}, func(res instrument.Result, err error) {
-			done++
-		})
-		if f := tb.s.InFlight(); f > maxFlying {
-			maxFlying = f
-		}
-	}
+	done := 0
+	tb.flowJobs("c", 10, func(instrument.Result) { done++ })
+	maxFlying := tb.s.InFlight() // nothing completes before the engine runs
 	// Sample in-flight load as the simulation progresses.
 	for i := 0; i < 60; i++ {
 		tb.runFor(5 * sim.Second)
@@ -353,15 +346,7 @@ func TestBackfillAcrossClasses(t *testing.T) {
 			Cmd: validCmd("x")}, func(instrument.Result, error) {})
 	}
 	done := 0
-	for i := 0; i < 4; i++ {
-		tb.s.Submit(Job{Tenant: "normal", Origin: "a", Kind: instrument.KindFlowReactor,
-			Cmd: validCmd("x")}, func(res instrument.Result, err error) {
-			if err != nil {
-				t.Errorf("job failed: %v", err)
-			}
-			done++
-		})
-	}
+	tb.flowJobs("normal", 4, func(instrument.Result) { done++ })
 	tb.runFor(10 * sim.Minute)
 
 	if done != 4 {
@@ -378,18 +363,13 @@ func TestQueuedJobExpiresWithTerminalError(t *testing.T) {
 	tb.converge()
 
 	in.ForceFailure() // down for 30 minutes (fluidic repair time)
-	var got error
-	done := false
+	var o outcome
 	tb.s.Submit(Job{Tenant: "c", Origin: "a", Kind: instrument.KindFlowReactor,
-		Cmd: validCmd("x"), Timeout: 5 * sim.Minute},
-		func(res instrument.Result, err error) { got, done = err, true })
+		Cmd: validCmd("x"), Timeout: 5 * sim.Minute}, o.done)
 	tb.runFor(10 * sim.Minute)
 
-	if !done {
-		t.Fatal("job never reached a terminal outcome")
-	}
-	if !errors.Is(got, ErrExpired) {
-		t.Fatalf("err = %v, want ErrExpired", got)
+	if o.calls != 1 || !errors.Is(o.err, ErrExpired) {
+		t.Fatalf("%d terminal outcomes, last %v; want one, ErrExpired", o.calls, o.err)
 	}
 	if tb.s.QueueDepth() != 0 {
 		t.Fatalf("queue depth = %d after expiry", tb.s.QueueDepth())
@@ -404,17 +384,17 @@ func TestReleaseTenantCancelsQueuedJobs(t *testing.T) {
 	var errs []error
 	for i := 0; i < 3; i++ {
 		// Unroutable kind: the jobs park in the tenant queue.
-		tb.s.Submit(Job{Tenant: "dead", Origin: "a", Kind: "_xrd._aisle",
-			Cmd: validCmd("x")}, func(_ instrument.Result, err error) {
-			errs = append(errs, err)
-		})
+		tb.s.Submit(Job{Tenant: "dead", Origin: "a", Kind: "_xrd._aisle", Cmd: validCmd("x")},
+			func(_ instrument.Result, err error) { errs = append(errs, err) })
 	}
 	tb.runFor(sim.Minute)
 	if tb.s.QueueDepth() != 3 {
 		t.Fatalf("queue depth = %d before release", tb.s.QueueDepth())
 	}
 
+	checkOrder(t, tb.s)
 	tb.s.ReleaseTenant("dead")
+	checkOrder(t, tb.s)
 	if tb.s.QueueDepth() != 0 {
 		t.Fatalf("queue depth = %d after release", tb.s.QueueDepth())
 	}
@@ -448,7 +428,8 @@ func TestReleaseTenantCancelsStolenInTransit(t *testing.T) {
 		t.Fatal("no steal occurred; scenario did not form")
 	}
 	tb.s.ReleaseTenant("t")
-	tb.runFor(time30m())
+	checkOrder(t, tb.s)
+	tb.runFor(30 * sim.Minute)
 
 	// Every job reaches exactly one terminal outcome: the in-flight ones
 	// complete, the queued and in-transit ones are canceled.
@@ -496,27 +477,6 @@ func TestMinCapsFilterRouting(t *testing.T) {
 	}
 }
 
-// addBatchReactor installs a slow (30-minute action) synthesis robot, for
-// tests that need work to stay in flight across recovery sweeps.
-func (tb *testbed) addBatchReactor(site netsim.SiteID, id string) *instrument.Instrument {
-	in := instrument.NewBatchReactor(tb.eng, tb.rnd, id, string(site), twin.Perovskite{})
-	d := in.Descriptor()
-	tb.fleets[site].Add(in)
-	endpoint := "instr/" + d.ID
-	tb.fab.Broker(site).Register(endpoint, func(env *bus.Envelope, respond func(any, error)) {
-		in.Submit(env.Payload.(instrument.Command), func(res instrument.Result) {
-			respond(res, res.Err)
-		})
-	})
-	tb.dir.Registry(site).Register(discovery.Record{
-		Instance:     string(site) + "/" + d.ID,
-		Type:         d.Kind,
-		Addr:         bus.Address{Site: site, Name: endpoint},
-		Capabilities: d.Capabilities,
-	})
-	return in
-}
-
 func TestRetryRecoversFromInstrumentFailure(t *testing.T) {
 	tb := newTestbed(t, []netsim.SiteID{"a"}, Options{})
 	in := tb.addReactor("a", "flow-1")
@@ -525,22 +485,15 @@ func TestRetryRecoversFromInstrumentFailure(t *testing.T) {
 	// First attempt is guaranteed to fail; the instrument then repairs and
 	// the retry must land without the caller seeing the failure.
 	in.SetFailureProb(1)
-	var calls int
-	var lastErr error
+	var o outcome
 	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindFlowReactor,
-		Cmd: validCmd("s-1"), MaxRetries: 2}, func(res instrument.Result, err error) {
-		calls++
-		lastErr = err
-	})
-	tb.runFor(time30m())
+		Cmd: validCmd("s-1"), MaxRetries: 2}, o.done)
+	tb.runFor(30 * sim.Minute)
 	in.SetFailureProb(0)
 	tb.runFor(2 * sim.Hour)
 
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want exactly 1", calls)
-	}
-	if lastErr != nil {
-		t.Fatalf("job should have succeeded on retry, got %v", lastErr)
+	if o.calls != 1 || o.err != nil {
+		t.Fatalf("callback ran %d times, last with %v; want once, succeeding on retry", o.calls, o.err)
 	}
 	if got := tb.s.metrics.Counter(telemetry.Key("sched.retries", "site", "a", "tenant", "t")).Value(); got < 1 {
 		t.Fatalf("sched.retries{site=a,tenant=t} = %d, want >= 1", got)
@@ -556,20 +509,13 @@ func TestRetryBudgetExhaustedSurfacesTerminalError(t *testing.T) {
 	tb.converge()
 
 	in.SetFailureProb(1) // every attempt fails
-	var calls int
-	var lastErr error
+	var o outcome
 	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindFlowReactor,
-		Cmd: validCmd("s-1"), MaxRetries: 1}, func(res instrument.Result, err error) {
-		calls++
-		lastErr = err
-	})
+		Cmd: validCmd("s-1"), MaxRetries: 1}, o.done)
 	tb.runFor(3 * sim.Hour)
 
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want exactly 1", calls)
-	}
-	if lastErr == nil {
-		t.Fatal("exhausted retry budget must surface the failure")
+	if o.calls != 1 || o.err == nil {
+		t.Fatalf("callback ran %d times, last with %v; want once, surfacing the failure", o.calls, o.err)
 	}
 }
 
@@ -579,13 +525,9 @@ func TestRecoverReroutesFromDownInstrument(t *testing.T) {
 	tb.addBatchReactor("b", "batch-b")
 	tb.converge()
 
-	var calls int
-	var lastErr error
+	var o outcome
 	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis,
-		Cmd: validCmd("s-1")}, func(res instrument.Result, err error) {
-		calls++
-		lastErr = err
-	})
+		Cmd: validCmd("s-1")}, o.done)
 	tb.runFor(2 * sim.Minute) // dispatched to a (local preferred), mid-action
 	if tb.s.InFlight() != 1 {
 		t.Fatalf("in-flight = %d, want 1", tb.s.InFlight())
@@ -593,11 +535,8 @@ func TestRecoverReroutesFromDownInstrument(t *testing.T) {
 	inA.ForceDown(6 * sim.Hour)
 	tb.runFor(4 * sim.Hour)
 
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want exactly 1", calls)
-	}
-	if lastErr != nil {
-		t.Fatalf("rescued job should complete at the peer site, got %v", lastErr)
+	if o.calls != 1 || o.err != nil {
+		t.Fatalf("callback ran %d times, last with %v; want once, completing at the peer site", o.calls, o.err)
 	}
 	if got := tb.s.metrics.Counter(telemetry.Key("sched.requeues", "reason", "site-down")).Value(); got != 1 {
 		t.Fatalf("sched.requeues{reason=site-down} = %d, want 1", got)
@@ -614,33 +553,26 @@ func TestRecoverReroutesFromPartitionedSite(t *testing.T) {
 	tb.addBatchReactor("b", "batch-b") // only b can run the job
 	tb.converge()
 
-	var calls int
-	var lastErr error
+	var o outcome
 	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis,
-		Cmd: validCmd("s-1")}, func(res instrument.Result, err error) {
-		calls++
-		lastErr = err
-	})
+		Cmd: validCmd("s-1")}, o.done)
 	tb.runFor(2 * sim.Minute) // dispatched across the WAN to b
 	if tb.s.InFlight() != 1 {
 		t.Fatalf("in-flight = %d, want 1", tb.s.InFlight())
 	}
-	tb.net.SetLinkUp("a", "b", false)
+	tb.Net.SetLinkUp("a", "b", false)
 	tb.runFor(10 * sim.Minute) // sweep rescues; job unroutable while dark
 	if got := tb.s.metrics.Counter(telemetry.Key("sched.requeues", "reason", "unreachable")).Value(); got != 1 {
 		t.Fatalf("sched.requeues{reason=unreachable} = %d, want 1", got)
 	}
-	if calls != 0 {
-		t.Fatalf("job terminated while its only site was unreachable (calls=%d err=%v)", calls, lastErr)
+	if o.calls != 0 {
+		t.Fatalf("job terminated while its only site was unreachable (o.calls=%d err=%v)", o.calls, o.err)
 	}
-	tb.net.SetLinkUp("a", "b", true)
+	tb.Net.SetLinkUp("a", "b", true)
 	tb.runFor(2 * sim.Hour)
 
-	if calls != 1 {
-		t.Fatalf("callback ran %d times, want exactly 1", calls)
-	}
-	if lastErr != nil {
-		t.Fatalf("job should complete after the partition heals, got %v", lastErr)
+	if o.calls != 1 || o.err != nil {
+		t.Fatalf("callback ran %d times, last with %v; want once, completing after the heal", o.calls, o.err)
 	}
 }
 
@@ -654,31 +586,111 @@ func TestTryDispatchFailsFastOnExpiredJob(t *testing.T) {
 	tb.addBatchReactor("a", "batch-a")
 	tb.converge()
 
-	var firstErr, secondErr error
-	first, second := 0, 0
+	var first, second outcome
+	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis, Cmd: validCmd("s-long")}, first.done)
 	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis,
-		Cmd: validCmd("s-long")}, func(res instrument.Result, err error) {
-		first++
-		firstErr = err
-	})
-	tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis,
-		Cmd: validCmd("s-dead"), Timeout: 2 * sim.Minute}, func(res instrument.Result, err error) {
-		second++
-		secondErr = err
-	})
-	tb.runFor(time30m() + 10*sim.Minute) // first completes (~30m), freeing capacity
+		Cmd: validCmd("s-dead"), Timeout: 2 * sim.Minute}, second.done)
+	tb.runFor(40 * sim.Minute) // first completes (~30m), freeing capacity
 
-	if first != 1 || firstErr != nil {
-		t.Fatalf("first job: calls=%d err=%v", first, firstErr)
+	if first.calls != 1 || first.err != nil {
+		t.Fatalf("first job: calls=%d err=%v", first.calls, first.err)
 	}
-	if second != 1 {
-		t.Fatalf("second job callback ran %d times, want 1", second)
+	if second.calls != 1 {
+		t.Fatalf("second job callback ran %d times, want 1", second.calls)
 	}
-	if !errors.Is(secondErr, ErrExpired) {
-		t.Fatalf("second job error = %v, want ErrExpired", secondErr)
+	if !errors.Is(second.err, ErrExpired) {
+		t.Fatalf("second job error = %v, want ErrExpired", second.err)
 	}
 	// It must have failed fast, never shipped to the instrument.
 	if got := tb.s.metrics.Counter("sched.dispatched").Value(); got != 1 {
 		t.Fatalf("sched.dispatched = %d, want 1 (expired job must not dispatch)", got)
+	}
+}
+
+// checkOrder asserts the persistent service order's invariant at every site
+// — exactly the tenants with queued jobs, strictly ascending in fairOrder —
+// and that its other two readers still see what the old map scans saw: byID
+// the sorted ids of the busy tenants, syncVtime the lowest busy vtime.
+func checkOrder(t *testing.T, s *Scheduler) {
+	queued := 0
+	for _, ss := range s.order {
+		var busy []string
+		floor := -1.0
+		for id, tq := range ss.tenants {
+			queued += len(tq.jobs)
+			if len(tq.jobs) > 0 {
+				busy = append(busy, id)
+				if floor < 0 || tq.vtime < floor {
+					floor = tq.vtime
+				}
+			}
+		}
+		sort.Strings(busy)
+		var byID []string
+		for _, tq := range ss.byID() {
+			byID = append(byID, tq.cfg.ID)
+		}
+		if !slices.Equal(byID, busy) {
+			t.Fatalf("site %s: byID() = %v, busy tenants are %v", ss.bind.ID, byID, busy)
+		}
+		for id, tq := range ss.tenants {
+			if len(tq.jobs) == 0 {
+				saved := tq.vtime
+				tq.vtime = -1
+				ss.syncVtime(tq)
+				if tq.vtime != floor {
+					t.Fatalf("site %s: syncVtime floors idle %s at %v, lowest busy vtime is %v", ss.bind.ID, id, tq.vtime, floor)
+				}
+				tq.vtime = saved
+			}
+		}
+		for i, tq := range ss.active {
+			if len(tq.jobs) == 0 || ss.tenants[tq.cfg.ID] != tq {
+				t.Fatalf("site %s: active[%d]=%s is idle or released", ss.bind.ID, i, tq.cfg.ID)
+			}
+			if i > 0 && fairOrder(ss.active[i-1], tq) >= 0 {
+				t.Fatalf("site %s: active order broken at %d (%s before %s)", ss.bind.ID, i, ss.active[i-1].cfg.ID, tq.cfg.ID)
+			}
+		}
+	}
+	if queued != s.queued {
+		t.Fatalf("queued count %d, FIFOs hold %d", s.queued, queued)
+	}
+}
+
+// TestSaturatedPumpIsFree pins what a pump against a saturated fleet costs:
+// no allocation, and one route probe per distinct requirement however many
+// tenants queue behind it.
+func TestSaturatedPumpIsFree(t *testing.T) {
+	tb := newTestbed(t, []netsim.SiteID{"a"}, Options{MaxInFlightPerInstrument: 1})
+	tb.addGraded("a", "batch-0", true, 2, 2)
+	tb.converge()
+	reqs := floors[:4] // all met by batch-0, so all block on capacity alone
+	for i := 0; i < 50; i++ {
+		for n := 0; n < 2; n++ {
+			tb.s.Submit(Job{
+				Tenant: fmt.Sprintf("t%02d", i), Origin: "a", Kind: instrument.KindSynthesis,
+				MinCaps: reqs[i%len(reqs)], Cmd: validCmd(fmt.Sprintf("s-%d-%d", i, n)),
+			}, func(instrument.Result, error) {})
+		}
+	}
+	tb.runFor(sim.Minute) // one job takes the robot for half an hour
+	ss := tb.s.sites["a"]
+	if tb.s.InFlight() != 1 || len(ss.active) != 50 {
+		t.Fatalf("want a saturated fleet behind 50 queued tenants, got %d in flight, %d active", tb.s.InFlight(), len(ss.active))
+	}
+	before := tb.s.probesC.Value()
+	const runs = 100
+	allocs := testing.AllocsPerRun(runs, func() { tb.s.pumpSite(ss) })
+	probes := float64(tb.s.probesC.Value()-before) / (runs + 1) // AllocsPerRun warms up once
+	if allocs != 0 {
+		t.Errorf("saturated pump allocates %v times, want 0", allocs)
+	}
+	if probes > float64(len(reqs)) {
+		t.Errorf("saturated pump made %.1f route probes for %d distinct requirements", probes, len(reqs))
+	}
+	checkOrder(t, tb.s)
+	if tb.s.InFlight() != 1 || tb.s.QueueDepth() != 99 {
+		t.Errorf("pumping a saturated fleet moved work: %d in flight, %d queued", tb.s.InFlight(), tb.s.QueueDepth())
 	}
 }

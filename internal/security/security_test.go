@@ -8,6 +8,7 @@ import (
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/simtest"
 )
 
 func fixture(t *testing.T) (*sim.Engine, *Federation, *IdentityProvider, *IdentityProvider) {
@@ -194,13 +195,8 @@ func TestTokenManagerContinuousRenewal(t *testing.T) {
 // End-to-end: zero-trust middleware on the bus rejects unauthenticated and
 // unauthorized calls but passes legitimate traffic.
 func TestBusMiddlewareEndToEnd(t *testing.T) {
-	eng := sim.NewEngine()
-	net := netsim.New(eng, rng.New(9))
-	for _, s := range []netsim.SiteID{"ornl", "anl"} {
-		net.AddSite(s).Firewall.AllowAll()
-	}
-	net.Connect("ornl", "anl", netsim.Link{Latency: 5 * sim.Millisecond})
-	fabric := bus.NewFabric(net)
+	st := simtest.New(rng.New(9), netsim.Link{Latency: 5 * sim.Millisecond}, "ornl", "anl")
+	eng, fabric := st.Eng, st.Fab
 
 	fed := NewFederation(eng)
 	ornl := NewIdentityProvider(eng, "ornl", []byte("k1"))
@@ -224,9 +220,7 @@ func TestBusMiddlewareEndToEnd(t *testing.T) {
 		Method: "svc", // no token
 	}, func(_ any, err error) { noTokErr = err })
 
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
+	st.Run(t)
 	if okErr != nil {
 		t.Fatalf("authenticated call failed: %v", okErr)
 	}
