@@ -74,9 +74,9 @@ const (
 	OrchAgentVerified = core.OrchAgentVerified
 )
 
-// Federation scheduler. Campaigns opt in to batched dispatch with
-// CampaignConfig.Parallelism > 1; FairWeight and Priority control the
-// campaign's fair share of the fleet.
+// Federation scheduler. Every campaign experiment goes through it;
+// CampaignConfig.Parallelism sets how many a campaign keeps in flight, and
+// FairWeight and Priority control the campaign's fair share of the fleet.
 type (
 	// Scheduler is the federation-wide experiment scheduler (Network.Sched).
 	Scheduler = sched.Scheduler

@@ -110,8 +110,8 @@ func benchConcurrentCampaigns(b *testing.B, parallelism int, tr TraceOptions) {
 	b.ReportMetric(camphSum/float64(b.N), "vcampaigns/hr")
 }
 
-// BenchmarkSchedCampaignsP1 is the serial-loop baseline: 200 concurrent
-// campaigns, each with one experiment in flight.
+// BenchmarkSchedCampaignsP1 is the one-at-a-time baseline: 200 concurrent
+// campaigns, each with one experiment in flight through the scheduler.
 func BenchmarkSchedCampaignsP1(b *testing.B) { benchConcurrentCampaigns(b, 1, TraceOptions{}) }
 
 // BenchmarkSchedCampaignsP4 keeps 4 experiments per campaign in flight.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/aisle-sim/aisle/internal/fabric"
 	"github.com/aisle-sim/aisle/internal/instrument"
@@ -63,15 +64,14 @@ type CampaignConfig struct {
 	MaxFailuresPerPoint int
 	// InstrumentTimeout bounds one instrument call. Default 48h.
 	InstrumentTimeout sim.Time
-	// Parallelism keeps up to this many experiments in flight through the
-	// federation scheduler, turning the serial ask->run->tell loop into a
-	// pipelined one. 0 or 1 selects the direct serial path.
+	// Parallelism is how many experiments the campaign keeps in flight
+	// through the federation scheduler. 0 and 1 both mean one at a time.
 	Parallelism int
 	// FairWeight is the campaign's fair-share weight at the scheduler
-	// (default 1). Only meaningful with Parallelism > 1.
+	// (default 1).
 	FairWeight float64
 	// Priority is the campaign's scheduler class. The zero value is
-	// normal priority. Only meaningful with Parallelism > 1.
+	// normal priority.
 	Priority sched.Class
 }
 
@@ -128,7 +128,16 @@ var ErrNoInstrument = errors.New("core: no instrument available")
 
 // RunCampaign executes the closed loop asynchronously; cb receives the
 // final report. Drive the engine (n.Eng.Run or RunUntil) to make progress.
+//
+// Every experiment goes through the federation scheduler. The campaign
+// keeps up to Parallelism of them in flight: proposals come from the
+// Bayesian optimizer's constant-liar batch ask, decisions overlap with
+// executing experiments, and every completion immediately refills the
+// pipeline.
 func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
+	if cfg.Parallelism < 1 {
+		cfg.Parallelism = 1
+	}
 	if cfg.MaxFailuresPerPoint == 0 {
 		cfg.MaxFailuresPerPoint = 2
 	}
@@ -186,16 +195,10 @@ func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 	// Provenance: the campaign is an agent acting for the site.
 	n.Mesh.Prov.AddAgent("campaign:"+cfg.Name, map[string]string{"site": string(cfg.Site)})
 
-	if cfg.Parallelism > 1 {
-		// Batched dispatch rides the federation scheduler; the direct
-		// serial path below stays untouched for Parallelism <= 1.
-		n.Sched.Tenant(cfg.Site, sched.TenantConfig{
-			ID: cfg.Name, Weight: cfg.FairWeight, Class: cfg.Priority,
-		})
-		c.fill()
-		return
-	}
-	c.step()
+	n.Sched.Tenant(cfg.Site, sched.TenantConfig{
+		ID: cfg.Name, Weight: cfg.FairWeight, Class: cfg.Priority,
+	})
+	c.fill()
 }
 
 type campaign struct {
@@ -219,7 +222,7 @@ type campaign struct {
 	tctx trace.Context
 	root trace.Span
 
-	// Batched-dispatch state (Parallelism > 1).
+	// Pipeline state.
 	launched  int                    // experiments submitted and not permanently dropped
 	flying    int                    // proposals being decided or executing
 	seq       int                    // sample-ID sequence across concurrent flights
@@ -270,37 +273,8 @@ func (c *campaign) markReuse(wait sim.Time) {
 	}
 }
 
-// step runs one loop iteration: ask -> (maybe reuse) -> decide -> execute.
-func (c *campaign) step() {
-	if c.rep.Executed >= c.cfg.Budget {
-		c.finish(nil)
-		return
-	}
-	if c.cfg.Target > 0 && c.rep.BestValue >= c.cfg.Target {
-		c.finish(nil)
-		return
-	}
-
-	ar := c.n.Prof.Enter(prof.SiteCoreDecide)
-	intended := c.opt.Ask()
-	ar.End()
-
-	// Knowledge reuse: skip experiments the federation already ran. A
-	// reuse costs a catalog lookup, not an experiment.
-	if c.tryReuse(intended) {
-		c.markReuse(30 * sim.Second)
-		c.n.Eng.Schedule(30*sim.Second, c.step)
-		return
-	}
-
-	et := c.beginExperiment(fmt.Sprintf("%s-%04d", c.cfg.Name, c.rep.Executed))
-	prop := c.decide(intended, et)
-	c.n.Eng.Schedule(prop.Latency, func() { c.execute(prop, 0, et) })
-}
-
 // decide runs the orchestration decision for an intended point, with all
-// report accounting (latency, repairs, traces, approvals). Shared by the
-// serial and batched paths.
+// report accounting (latency, repairs, traces, approvals).
 func (c *campaign) decide(intended param.Point, et *expTrace) llm.Proposal {
 	r := c.n.Prof.Enter(prof.SiteCoreDecide)
 	defer r.End()
@@ -332,46 +306,10 @@ func (c *campaign) decide(intended param.Point, et *expTrace) llm.Proposal {
 	return prop
 }
 
-// execute runs the emitted command on a negotiated instrument.
-func (c *campaign) execute(prop llm.Proposal, failures int, et *expTrace) {
-	rec, ok := c.site.FindInstrument(c.cfg.SynthKind, nil, "throughput_per_hr")
-	if !ok {
-		c.finish(fmt.Errorf("%w: kind %s at %s", ErrNoInstrument, c.cfg.SynthKind, c.cfg.Site))
-		return
-	}
-	cmd := instrument.Command{
-		Action:   "synthesize",
-		Params:   prop.Emitted,
-		SampleID: fmt.Sprintf("%s-%04d", c.cfg.Name, c.rep.Executed),
-		Trace:    et.ctxOr(),
-	}
-	started := c.n.Eng.Now()
-	c.site.RunInstrument(rec, cmd, c.cfg.InstrumentTimeout, func(res instrument.Result, err error) {
-		c.rep.InstrumentTime += c.n.Eng.Now() - started
-		if err != nil {
-			c.rep.Failures++
-			if failures+1 <= c.cfg.MaxFailuresPerPoint {
-				// Fault tolerance: retry the same command (possibly landing
-				// on another instrument after renegotiation).
-				c.execute(prop, failures+1, et)
-				return
-			}
-			// Give up on this point; move on.
-			c.endExperiment(et)
-			c.n.Eng.Schedule(0, c.step)
-			return
-		}
-		c.ingest(prop, res, et, func() {
-			c.endExperiment(et)
-			c.n.Eng.Schedule(0, c.step)
-		})
-	})
-}
-
-// ingest scores correctness, characterizes if configured, feeds the
-// optimizer and knowledge base, records provenance, and finally invokes
-// cont to resume the owning loop (serial step or batched refill).
-func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace, cont func()) {
+// ingest scores correctness, feeds the optimizer and knowledge base,
+// records provenance, characterizes if configured, and finally lands the
+// flight.
+func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace) {
 	c.rep.Executed++
 	if prop.Correct() {
 		c.rep.Correct++
@@ -403,42 +341,30 @@ func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace
 	prov.WasGeneratedBy(entID, actID)
 	prov.WasAssociatedWith(actID, fabric.AgentID("campaign:"+c.cfg.Name))
 
-	// Characterization hop (cross-facility when the instrument lives
-	// elsewhere). Batched campaigns route it through the scheduler so
-	// characterization shares the fleet fairly too.
-	if c.cfg.CharacterizeKind != "" {
-		rec, ok := c.site.FindInstrument(c.cfg.CharacterizeKind, nil, "throughput_per_hr")
-		if ok {
-			started := c.n.Eng.Now()
-			cmd := instrument.Command{
-				Action:   charActionFor(c.cfg.CharacterizeKind),
+	// Characterization hop, through the scheduler like the synthesis (it
+	// lands wherever the kind has capacity, possibly at another site).
+	if kind := c.cfg.CharacterizeKind; kind != "" && c.site.Registry.HasType(kind) {
+		started := c.n.Eng.Now()
+		c.n.Sched.Submit(sched.Job{
+			Tenant: c.cfg.Name, Origin: c.cfg.Site, Kind: kind,
+			Cmd: instrument.Command{
+				Action:   charActionFor(kind),
 				Params:   param.Point{"scan_resolution": 1, "exposure_s": 60},
 				SampleID: res.SampleID,
 				Trace:    et.ctxOr(),
-			}
-			after := func() {
-				if c.finished {
-					return
-				}
-				c.rep.InstrumentTime += c.n.Eng.Now() - started
-				cont()
-			}
-			if c.cfg.Parallelism > 1 {
-				c.n.Sched.Submit(sched.Job{
-					Tenant: c.cfg.Name, Origin: c.cfg.Site,
-					Kind: c.cfg.CharacterizeKind, Cmd: cmd,
-					Timeout: c.cfg.InstrumentTimeout,
-					Trace:   et.ctxOr(),
-				}, func(instrument.Result, error) { after() })
+			},
+			Timeout: c.cfg.InstrumentTimeout,
+			Trace:   et.ctxOr(),
+		}, func(instrument.Result, error) {
+			if c.finished {
 				return
 			}
-			c.site.RunInstrument(rec, cmd, c.cfg.InstrumentTimeout, func(instrument.Result, error) {
-				after()
-			})
-			return
-		}
+			c.rep.InstrumentTime += c.n.Eng.Now() - started
+			c.land(et)
+		})
+		return
 	}
-	cont()
+	c.land(et)
 }
 
 func charActionFor(kind string) string {
@@ -462,9 +388,167 @@ func (c *campaign) finish(err error) {
 	c.rep.Finished = c.n.Eng.Now()
 	c.rep.Err = err
 	c.tctx.Finish(&c.root, c.rep.Finished)
-	if c.cfg.Parallelism > 1 {
-		c.n.Sched.ReleaseTenant(c.cfg.Name)
-	}
+	c.n.Sched.ReleaseTenant(c.cfg.Name)
 	c.n.Metrics.Counter("core.campaigns").Inc()
 	c.cb(c.rep)
+}
+
+// fill tops the pipeline up to Parallelism in-flight experiments and
+// finishes the campaign once the budget (or target) is met and the last
+// flight lands.
+func (c *campaign) fill() {
+	if c.finished {
+		return
+	}
+	stop := c.cfg.Target > 0 && c.rep.BestValue >= c.cfg.Target
+	for !stop && c.flying < c.cfg.Parallelism && c.launched < c.cfg.Budget {
+		p, ok := c.nextPoint()
+		if !ok {
+			// A knowledge reuse costs a 30s catalog lookup, not an
+			// experiment; launching resumes afterwards while in-flight
+			// work continues.
+			c.markReuse(30 * sim.Second)
+			c.n.Eng.Schedule(30*sim.Second, c.fill)
+			return
+		}
+		c.launch(p)
+		stop = c.cfg.Target > 0 && c.rep.BestValue >= c.cfg.Target
+	}
+	if c.flying == 0 && (stop || c.launched >= c.cfg.Budget) {
+		c.finish(nil)
+	}
+}
+
+// inflightPoints lists the intended points currently executing, in a
+// deterministic order, so batch asks can fantasize over them.
+func (c *campaign) inflightPoints() []param.Point {
+	keys := make([]string, 0, len(c.flyingPts))
+	for k := range c.flyingPts {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]param.Point, len(keys))
+	for i, k := range keys {
+		out[i] = c.flyingPts[k]
+	}
+	return out
+}
+
+// nextPoint draws one intended point, fantasizing over the still-in-flight
+// points (constant liar) so the proposal does not duplicate executing
+// experiments. Asking per freed slot — rather than buffering a batch —
+// means every proposal sees all evidence Telled so far, and it is cheap:
+// the optimizer's fantasy overlay appends the in-flight rows to the shared
+// Cholesky factor in O(n^2) each and retracts them by truncation, so a
+// refill never refits the surrogate. A federation knowledge hit is
+// consumed instead (ok=false): the known value feeds the optimizer without
+// costing a flight slot, and the caller pays the catalog-lookup latency
+// before drawing again.
+func (c *campaign) nextPoint() (param.Point, bool) {
+	var p param.Point
+	r := c.n.Prof.Enter(prof.SiteCoreDecide)
+	if fly := c.inflightPoints(); len(fly) > 0 {
+		p = c.opt.AskBatch(1, fly)[0]
+	} else {
+		p = c.opt.Ask()
+	}
+	r.End()
+	if c.tryReuse(p) {
+		return nil, false
+	}
+	return p, true
+}
+
+// tryReuse consumes a federation knowledge hit for p, reporting whether it
+// did. Misses reset the reuse streak that caps consecutive hits.
+func (c *campaign) tryReuse(p param.Point) bool {
+	if c.cfg.UseKnowledge && c.reuseStreak < 5 {
+		if v, ok := c.site.Knowledge.HasObservation(c.cfg.Model.Name(), p); ok {
+			c.rep.Reused++
+			c.reuseStreak++
+			c.opt.Tell(p, v)
+			if v > c.rep.BestValue {
+				c.rep.BestValue = v
+				c.rep.BestPoint = p.Clone()
+			}
+			return true
+		}
+	}
+	c.reuseStreak = 0
+	return false
+}
+
+// launch claims a flight slot, runs the orchestration decision, and
+// submits the emitted command to the scheduler once the decision latency
+// elapses. Decisions for different slots overlap.
+func (c *campaign) launch(intended param.Point) {
+	c.flying++
+	c.launched++
+	sample := fmt.Sprintf("%s-%04d", c.cfg.Name, c.seq)
+	c.seq++
+	if c.flyingPts == nil {
+		c.flyingPts = make(map[string]param.Point)
+	}
+	c.flyingPts[sample] = intended.Clone()
+	et := c.beginExperiment(sample)
+	prop := c.decide(intended, et)
+	c.n.Eng.Schedule(prop.Latency, func() { c.submitSched(prop, sample, 0, et) })
+}
+
+// submitSched ships one proposal through the federation scheduler,
+// retrying a failed experiment up to MaxFailuresPerPoint times.
+func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, et *expTrace) {
+	if c.finished {
+		return
+	}
+	// A kind absent from the federation directory fails the campaign
+	// rather than parking jobs.
+	if !c.site.Registry.HasType(c.cfg.SynthKind) {
+		c.finish(fmt.Errorf("%w: kind %s at %s", ErrNoInstrument, c.cfg.SynthKind, c.cfg.Site))
+		return
+	}
+	cmd := instrument.Command{
+		Action:   "synthesize",
+		Params:   prop.Emitted,
+		SampleID: sample,
+		Trace:    et.ctxOr(),
+	}
+	started := c.n.Eng.Now()
+	c.n.Sched.Submit(sched.Job{
+		Tenant:  c.cfg.Name,
+		Origin:  c.cfg.Site,
+		Kind:    c.cfg.SynthKind,
+		Cmd:     cmd,
+		Timeout: c.cfg.InstrumentTimeout,
+		Trace:   et.ctxOr(),
+	}, func(res instrument.Result, err error) {
+		if c.finished {
+			return
+		}
+		c.rep.InstrumentTime += c.n.Eng.Now() - started
+		if err != nil {
+			c.rep.Failures++
+			if failures+1 <= c.cfg.MaxFailuresPerPoint {
+				c.submitSched(prop, sample, failures+1, et)
+				return
+			}
+			// Give up on this point: release its slot and its budget so
+			// the pipeline replaces it.
+			delete(c.flyingPts, sample)
+			c.flying--
+			c.launched--
+			c.endExperiment(et)
+			c.n.Eng.Schedule(0, c.fill)
+			return
+		}
+		delete(c.flyingPts, sample)
+		c.ingest(prop, res, et)
+	})
+}
+
+// land closes a completed experiment's flight and refills the pipeline.
+func (c *campaign) land(et *expTrace) {
+	c.endExperiment(et)
+	c.flying--
+	c.fill()
 }

@@ -62,12 +62,6 @@ type Config struct {
 	// campaign decision path. The zero value keeps it off: the network's
 	// Prof stays nil and every region costs a pointer test.
 	Prof prof.Options
-	// Shards places each site's events on its own PDES shard with
-	// conservative lookahead from the WAN link latency. Trajectories are
-	// byte-identical with and without sharding — the executive merges
-	// shards in exact (time, sequence) order — so this is purely a spine
-	// layout choice.
-	Shards bool
 }
 
 // DefaultLink is a realistic lab-to-lab WAN link: 15 ms propagation, 1 ms
@@ -135,10 +129,6 @@ func New(cfg Config) *Network {
 	rnd := rng.New(cfg.Seed)
 
 	net := netsim.New(eng, rnd.Fork("net"))
-	if cfg.Shards {
-		// Must precede AddSite: each site claims its shard at creation.
-		net.EnableSharding()
-	}
 	for _, s := range cfg.Sites {
 		site := net.AddSite(s)
 		// Inside the federation the firewalls admit the AISLE service

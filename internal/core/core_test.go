@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/bus"
@@ -232,44 +233,86 @@ func TestCampaignTargetStopsEarly(t *testing.T) {
 	}
 }
 
-func TestCampaignNoInstrumentErrorSerial(t *testing.T) {
-	n := buildTestbed(t, 30, false, false)
+// checkNoInstrumentError runs a campaign whose synthesis kind no site
+// offers and requires it to report ErrNoInstrument.
+func checkNoInstrumentError(t *testing.T, seed uint64, par int) {
+	t.Helper()
+	n := buildTestbed(t, seed, false, false)
 	defer n.Stop()
 	waitDiscovery(t, n)
 	var rep *CampaignReport
 	n.RunCampaign(CampaignConfig{
-		Name: "ghost-serial", Site: "ornl", Model: twin.Perovskite{},
+		Name: "ghost", Site: "ornl", Model: twin.Perovskite{},
 		Budget: 5, Mode: OrchAgentVerified, SynthKind: "_ghost._aisle",
+		Parallelism: par,
 	}, func(r *CampaignReport) { rep = r })
 	if err := n.RunFor(sim.Day); err != nil {
 		t.Fatal(err)
 	}
 	if rep == nil {
-		t.Fatal("campaign never reported")
+		t.Fatalf("P%d: campaign never reported", par)
 	}
 	if !errors.Is(rep.Err, ErrNoInstrument) {
-		t.Fatalf("err = %v, want ErrNoInstrument", rep.Err)
+		t.Fatalf("P%d: err = %v, want ErrNoInstrument", par, rep.Err)
 	}
 }
 
+func TestCampaignNoInstrumentErrorSerial(t *testing.T) {
+	checkNoInstrumentError(t, 30, 0)
+	checkNoInstrumentError(t, 30, 1)
+}
+
 func TestCampaignNoInstrumentErrorParallel(t *testing.T) {
-	n := buildTestbed(t, 31, false, false)
+	checkNoInstrumentError(t, 31, 4)
+}
+
+// TestSerialCampaignsSpreadAcrossFleet runs one-at-a-time campaigns on a
+// fleet with spare capacity. Every experiment goes through the scheduler,
+// so the campaigns spread over every reactor instead of all negotiating
+// the same best-throughput instrument.
+func TestSerialCampaignsSpreadAcrossFleet(t *testing.T) {
+	sites := []netsim.SiteID{"s0", "s1", "s2", "s3"}
+	n := New(Config{Seed: 35, Sites: sites, Link: DefaultLink()})
 	defer n.Stop()
+	var reactors []*instrument.Instrument
+	for _, id := range sites {
+		for k := 0; k < 2; k++ {
+			in := instrument.NewFluidicReactor(n.Eng, n.Rnd, fmt.Sprintf("flow-%s-%d", id, k), string(id), twin.Perovskite{})
+			n.Site(id).AddInstrument(in)
+			reactors = append(reactors, in)
+		}
+	}
 	waitDiscovery(t, n)
-	var rep *CampaignReport
-	n.RunCampaign(CampaignConfig{
-		Name: "ghost-par", Site: "ornl", Model: twin.Perovskite{},
-		Budget: 5, Mode: OrchAgentVerified, SynthKind: "_ghost._aisle",
-		Parallelism: 4,
-	}, func(r *CampaignReport) { rep = r })
-	if err := n.RunFor(sim.Day); err != nil {
-		t.Fatal(err)
+	const campaigns = 8
+	done, executed := 0, 0
+	for c := 0; c < campaigns; c++ {
+		n.RunCampaign(CampaignConfig{
+			Name: fmt.Sprintf("serial-%d", c), Site: sites[c%len(sites)], Model: twin.Perovskite{},
+			Budget: 4, Mode: OrchAgentVerified, SynthKind: instrument.KindFlowReactor,
+			Parallelism: 1,
+		}, func(r *CampaignReport) {
+			if r.Err != nil {
+				t.Errorf("%s: %v", r.Name, r.Err)
+			}
+			done++
+			executed += r.Executed
+		})
 	}
-	if rep == nil {
-		t.Fatal("campaign never reported")
+	for deadline := n.Eng.Now() + 30*sim.Day; done < campaigns && n.Eng.Now() < deadline; {
+		if err := n.RunFor(6 * sim.Hour); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if !errors.Is(rep.Err, ErrNoInstrument) {
-		t.Fatalf("err = %v, want ErrNoInstrument", rep.Err)
+	if done != campaigns {
+		t.Fatalf("%d of %d campaigns finished", done, campaigns)
+	}
+	for _, in := range reactors {
+		if in.Completed() == 0 {
+			t.Errorf("%s ran no experiment", in.Descriptor().ID)
+		}
+	}
+	if got := n.Metrics.Counter("sched.dispatched").Value(); got != int64(executed) {
+		t.Errorf("sched.dispatched = %d, want %d (every executed experiment)", got, executed)
 	}
 }
 

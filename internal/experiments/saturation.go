@@ -34,9 +34,6 @@ type SaturationSpec struct {
 	// Prof enables the continuous spine profiler for the run; the zero
 	// value keeps every instrumented region at one pointer test.
 	Prof prof.Options
-	// Shards runs the spine with per-site PDES event shards; the fixed-seed
-	// trajectory is byte-identical either way.
-	Shards bool
 }
 
 // SaturationResult reports a completed saturation run in virtual time.
@@ -68,7 +65,7 @@ func RunSaturation(spec SaturationSpec) (SaturationResult, error) {
 	}
 	sites := siteNames(spec.Sites)
 	n := core.New(core.Config{Seed: spec.Seed, Sites: sites, Link: core.DefaultLink(),
-		Trace: spec.Trace, Health: spec.Health, Prof: spec.Prof, Shards: spec.Shards})
+		Trace: spec.Trace, Health: spec.Health, Prof: spec.Prof})
 	defer n.Stop()
 	for _, id := range sites {
 		s := n.Site(id)

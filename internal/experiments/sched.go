@@ -17,7 +17,7 @@ func init() {
 // runE15 is the sched-saturation experiment: many concurrent campaigns
 // share a 4-site fluidic-reactor fleet through the federation scheduler,
 // and the batched-dispatch knob (CampaignConfig.Parallelism) is the axis.
-// At Parallelism 1 each campaign walks the serial ask->run->tell loop and
+// At Parallelism 1 each campaign keeps one experiment in flight, so its
 // decision latency serializes with instrument time; at higher parallelism
 // campaigns keep k experiments in flight, so fleet capacity — not the
 // decision loop — sets throughput. The acceptance bar is >=2x campaign

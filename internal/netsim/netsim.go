@@ -95,14 +95,7 @@ type Site struct {
 	Firewall *Firewall
 	// LANLatency is the intra-site delivery delay (loopback messages).
 	LANLatency sim.Time
-
-	// shard is the engine event shard deliveries to this site land on
-	// (0 unless the network was created with sharding enabled).
-	shard int
 }
-
-// Shard reports the engine event shard owning this site's deliveries.
-func (s *Site) Shard() int { return s.shard }
 
 type linkKey struct{ a, b SiteID }
 
@@ -138,10 +131,6 @@ type Network struct {
 	arriveFn   func(any)
 	free       *transit
 
-	sharded  bool
-	minLat   sim.Time
-	haveLink bool
-
 	// DropInFlight re-checks the link at the arrival instant: a message
 	// accepted while the link was up is dropped if the link went down while
 	// it was in flight. Off by default — the base model commits delivery at
@@ -174,15 +163,6 @@ func New(eng *sim.Engine, rnd *rng.Stream) *Network {
 	n.arriveFn = n.arriveTransit
 	return n
 }
-
-// EnableSharding places each subsequently added site on its own engine
-// event shard, so deliveries to a site queue on that site's timer wheel
-// and the PDES merge boundaries follow the physical topology. Call before
-// AddSite; sites added earlier stay on shard 0.
-func (n *Network) EnableSharding() { n.sharded = true }
-
-// Sharded reports whether per-site event sharding is on.
-func (n *Network) Sharded() bool { return n.sharded }
 
 // transit is the pooled in-flight carrier for one message. It is released
 // back to the network's freelist when delivery completes, making the
@@ -229,9 +209,6 @@ func (n *Network) AddSite(id SiteID) *Site {
 		panic(fmt.Sprintf("netsim: duplicate site %q", id))
 	}
 	s := &Site{ID: id, Firewall: &Firewall{}, LANLatency: 200 * sim.Microsecond}
-	if n.sharded {
-		s.shard = n.eng.AddShard()
-	}
 	n.sites[id] = s
 	return s
 }
@@ -264,20 +241,8 @@ func (n *Network) Connect(a, b SiteID, l Link) *Link {
 	k, _ := keyFor(a, b)
 	lp := &l
 	n.links[k] = lp
-	// The minimum cross-site propagation delay is the conservative PDES
-	// lookahead: no event scheduled by one site's shard can land on
-	// another shard sooner than this.
-	if !n.haveLink || l.Latency < n.minLat {
-		n.minLat = l.Latency
-		n.haveLink = true
-		n.eng.SetLookahead(n.minLat)
-	}
 	return lp
 }
-
-// Lookahead reports the minimum cross-site link latency — the conservative
-// PDES safe window for the shard merge.
-func (n *Network) Lookahead() sim.Time { return n.minLat }
 
 // LinkBetween returns the link joining a and b, or nil.
 func (n *Network) LinkBetween(a, b SiteID) *Link {
@@ -330,11 +295,9 @@ type Message struct {
 func (n *Network) Send(msg Message, deliver func(Message)) error {
 	r := n.prof.Enter(prof.SiteNetSend)
 	defer r.End()
-	src, ok := n.sites[msg.From]
-	if !ok {
+	if _, ok := n.sites[msg.From]; !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSite, msg.From)
 	}
-	_ = src
 	dst, ok := n.sites[msg.To]
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownSite, msg.To)
@@ -346,7 +309,7 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 	// Loopback: LAN latency only, no firewall (intra-site traffic).
 	if msg.From == msg.To {
 		n.recordHop(&msg, dst.LANLatency)
-		n.scheduleArrival(dst, dst.LANLatency, msg, deliver)
+		n.scheduleArrival(dst.LANLatency, msg, deliver)
 		n.deliveredC.Inc()
 		return nil
 	}
@@ -381,18 +344,18 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 	delay := n.transferDelay(link, dir, msg.Size)
 	n.delayH.Observe(delay.Seconds())
 	n.recordHop(&msg, delay)
-	n.scheduleArrival(dst, delay, msg, deliver)
+	n.scheduleArrival(delay, msg, deliver)
 	n.deliveredC.Inc()
 	return nil
 }
 
-// scheduleArrival books the arrival event on the destination site's shard,
-// carrying the message in a pooled transit released at delivery.
-func (n *Network) scheduleArrival(dst *Site, delay sim.Time, msg Message, deliver func(Message)) {
+// scheduleArrival books the arrival event, carrying the message in a
+// pooled transit released at delivery.
+func (n *Network) scheduleArrival(delay sim.Time, msg Message, deliver func(Message)) {
 	t := n.acquireTransit()
 	t.msg = msg
 	t.deliver = deliver
-	n.eng.ScheduleArgShard(dst.shard, delay, n.arriveFn, t)
+	n.eng.ScheduleArg(delay, n.arriveFn, t)
 }
 
 // arriveTransit completes one delivery: under DropInFlight a cross-site

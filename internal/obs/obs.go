@@ -474,8 +474,7 @@ func (e *Engine) Table() *telemetry.Table {
 }
 
 // SpineProfile is the per-subsystem event-count profile of the simulation
-// spine, feeding the "allocation-free sharded spine" roadmap item: which
-// layer generates the event and message volume a run pays for.
+// spine: which layer generates the event and message volume a run pays for.
 type SpineProfile struct {
 	SimEvents       uint64 `json:"sim_events"`
 	NetSent         int64  `json:"net_sent"`

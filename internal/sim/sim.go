@@ -4,12 +4,9 @@
 //
 // The kernel executes events in a total order defined by (time, sequence
 // number), which makes every simulation run bit-reproducible for a given
-// seed regardless of host parallelism. Internally the pending set is held
-// in per-shard hierarchical timer wheels (see wheel.go) with pooled event
-// nodes, so Schedule/fire/Cancel allocate nothing in steady state; the
-// shards are merged deterministically by exact (time, sequence) order, so
-// shard count never changes a trajectory — sequential single-shard mode is
-// the reference and sharded mode is proven byte-identical against it.
+// seed. The pending set is one hierarchical timer wheel (see wheel.go) with
+// pooled event nodes, so Schedule/fire/Cancel allocate nothing in steady
+// state.
 package sim
 
 import (
@@ -75,38 +72,18 @@ func (e Event) Valid() bool { return e.n != nil }
 // nor been cancelled.
 func (e Event) Pending() bool { return e.n != nil && e.n.gen == e.gen }
 
-// Label returns the diagnostic label attached at scheduling time, or ""
-// once the event has completed and its node been recycled.
-func (e Event) Label() string {
-	if e.n != nil && e.n.gen == e.gen {
-		return e.n.label
-	}
-	return ""
-}
-
 // ErrHorizon is returned by Run when the configured event horizon is reached
 // before the event queue drains, usually indicating a runaway feedback loop.
 var ErrHorizon = errors.New("sim: event horizon reached")
 
 // Engine is a discrete-event simulation executive. The zero value is ready
 // to use; NewEngine is provided for symmetry and future options.
-//
-// An Engine always has at least one event shard (shard 0). AddShard
-// registers additional shards — typically one per simulated site — each
-// with its own timer wheel. The executive merges shard heads by exact
-// (time, sequence) order, so the trajectory is identical whatever the
-// shard count; shards exist so the pending set scales (each wheel stays
-// small and cache-resident) and to carve the conservative-lookahead
-// boundaries for parallel execution (see Lookahead).
 type Engine struct {
-	now    Time
-	seq    uint64
-	shards []*shard
-	free   *node // node freelist, linked through next
-
-	curShard int // shard of the currently executing event
-	pending  int
-	running  bool
+	now     Time
+	seq     uint64
+	q       wheel
+	free    *node // node freelist, linked through next
+	running bool
 
 	// Horizon bounds the number of events processed in a single Run call.
 	// Zero means no bound.
@@ -117,66 +94,10 @@ type Engine struct {
 	Prof *prof.Profiler
 
 	processed uint64
-	lookahead Time
 }
 
 // NewEngine returns an Engine positioned at virtual time zero.
 func NewEngine() *Engine { return &Engine{} }
-
-func (e *Engine) ensure() {
-	if len(e.shards) == 0 {
-		e.shards = append(e.shards, newShard())
-	}
-}
-
-// AddShard registers a new event shard and returns its index. Shard 0
-// always exists and is the default for events scheduled outside any
-// sharded context. Events scheduled from within an executing event inherit
-// that event's shard unless placed explicitly with the *Shard variants.
-func (e *Engine) AddShard() int {
-	e.ensure()
-	e.shards = append(e.shards, newShard())
-	return len(e.shards) - 1
-}
-
-// Shards reports the number of event shards (always >= 1 once the engine
-// has been used).
-func (e *Engine) Shards() int {
-	e.ensure()
-	return len(e.shards)
-}
-
-// SetLookahead records the conservative lookahead: the minimum cross-shard
-// propagation latency (in netsim terms, the fastest link between sites).
-// No event scheduled by shard A into shard B can land earlier than B's
-// horizon + lookahead, which is the classic PDES safe window. The current
-// executive merges shards exactly, so lookahead is advisory — it sizes the
-// safe window reported by ShardStats and bounds future parallel execution.
-func (e *Engine) SetLookahead(d Time) {
-	if d < 0 {
-		d = 0
-	}
-	e.lookahead = d
-}
-
-// Lookahead reports the conservative cross-shard lookahead window.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// ShardStat describes one shard's progress for observability.
-type ShardStat struct {
-	Pending   int    // events currently queued on this shard
-	Processed uint64 // events fired from this shard
-}
-
-// ShardStats returns per-shard queue depth and fire counts.
-func (e *Engine) ShardStats() []ShardStat {
-	e.ensure()
-	out := make([]ShardStat, len(e.shards))
-	for i, s := range e.shards {
-		out[i] = ShardStat{Pending: s.count, Processed: s.processed}
-	}
-	return out
-}
 
 // Now reports current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -186,7 +107,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending reports the number of live events currently queued. Cancelled
 // events leave the queue immediately and are not counted.
-func (e *Engine) Pending() int { return e.pending }
+func (e *Engine) Pending() int { return e.q.count }
 
 // acquire pops a node from the freelist or allocates one.
 func (e *Engine) acquire() *node {
@@ -206,7 +127,6 @@ func (e *Engine) release(n *node) {
 	n.fn = nil
 	n.fnA = nil
 	n.arg = nil
-	n.label = ""
 	n.prev = nil
 	n.where = whereFree
 	n.next = e.free
@@ -233,37 +153,7 @@ func (e *Engine) ScheduleArg(d Time, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: ScheduleArg called with nil function")
 	}
-	return e.at(e.now+d, nil, fn, arg, e.curShard)
-}
-
-// ScheduleShard is Schedule targeting an explicit event shard, used by the
-// network layer to place deliveries on the destination site's shard.
-func (e *Engine) ScheduleShard(shardIdx int, d Time, fn func()) Event {
-	if d < 0 {
-		d = 0
-	}
-	if fn == nil {
-		panic("sim: ScheduleShard called with nil function")
-	}
-	return e.at(e.now+d, fn, nil, nil, shardIdx)
-}
-
-// ScheduleArgShard combines ScheduleArg and ScheduleShard.
-func (e *Engine) ScheduleArgShard(shardIdx int, d Time, fn func(any), arg any) Event {
-	if d < 0 {
-		d = 0
-	}
-	if fn == nil {
-		panic("sim: ScheduleArgShard called with nil function")
-	}
-	return e.at(e.now+d, nil, fn, arg, shardIdx)
-}
-
-// ScheduleLabeled is Schedule with a diagnostic label used in traces.
-func (e *Engine) ScheduleLabeled(d Time, label string, fn func()) Event {
-	ev := e.Schedule(d, fn)
-	ev.n.label = label
-	return ev
+	return e.at(e.now+d, nil, fn, arg)
 }
 
 // At arranges for fn to run at absolute virtual instant t. Instants in the
@@ -272,16 +162,12 @@ func (e *Engine) At(t Time, fn func()) Event {
 	if fn == nil {
 		panic("sim: At called with nil function")
 	}
-	return e.at(t, fn, nil, nil, e.curShard)
+	return e.at(t, fn, nil, nil)
 }
 
-func (e *Engine) at(t Time, fn func(), fnA func(any), arg any, shardIdx int) Event {
-	e.ensure()
+func (e *Engine) at(t Time, fn func(), fnA func(any), arg any) Event {
 	if t < e.now {
 		t = e.now
-	}
-	if shardIdx < 0 || shardIdx >= len(e.shards) {
-		panic(fmt.Sprintf("sim: schedule on unknown shard %d (have %d)", shardIdx, len(e.shards)))
 	}
 	n := e.acquire()
 	n.at = t
@@ -289,10 +175,8 @@ func (e *Engine) at(t Time, fn func(), fnA func(any), arg any, shardIdx int) Eve
 	n.fn = fn
 	n.fnA = fnA
 	n.arg = arg
-	n.shard = int32(shardIdx)
 	e.seq++
-	e.pending++
-	e.shards[shardIdx].insert(n)
+	e.q.insert(n)
 	return Event{n: n, gen: n.gen, at: t}
 }
 
@@ -304,72 +188,20 @@ func (e *Engine) Cancel(ev Event) bool {
 	if n == nil || n.gen != ev.gen {
 		return false
 	}
-	e.shards[n.shard].remove(n)
-	e.pending--
+	e.q.remove(n)
 	e.release(n)
 	return true
 }
 
-// Reschedule cancels ev and schedules its callback anew after delay d,
-// returning the new event. It is a convenience for timer-refresh patterns
-// (heartbeats, token renewal, lease refresh). Rescheduling a completed or
-// zero event returns the zero Event.
-func (e *Engine) Reschedule(ev Event, d Time) Event {
-	n := ev.n
-	if n == nil || n.gen != ev.gen {
-		return Event{}
-	}
-	fn, fnA, arg, label := n.fn, n.fnA, n.arg, n.label
-	shardIdx := int(n.shard)
-	e.Cancel(ev)
-	if d < 0 {
-		d = 0
-	}
-	nev := e.at(e.now+d, fn, fnA, arg, shardIdx)
-	nev.n.label = label
-	return nev
-}
-
-// minShard returns the shard holding the globally earliest (time, seq)
-// event, or nil when every shard is drained. This is the deterministic
-// merge point: because the comparison is the exact total order, the merged
-// trajectory is identical to the single-shard reference bit for bit.
-func (e *Engine) minShard() *shard {
-	var best *shard
-	for _, s := range e.shards {
-		if !s.peek() {
-			continue
-		}
-		if best == nil || s.headAt < best.headAt ||
-			(s.headAt == best.headAt && s.headSeq < best.headSeq) {
-			best = s
-		}
-	}
-	return best
-}
-
-// step executes the next event. It reports false when the queue is empty.
-func (e *Engine) step() bool {
-	s := e.minShard()
-	if s == nil {
-		return false
-	}
-	e.fire(s)
-	return true
-}
-
-// fire pops and executes the head event of shard s, which the caller has
-// established holds the global minimum.
-func (e *Engine) fire(s *shard) {
-	n := s.popHead()
+// fire pops and executes the earliest event, which peek has just
+// confirmed exists.
+func (e *Engine) fire() {
+	n := e.q.popHead()
 	if n.at < e.now {
 		panic(fmt.Sprintf("sim: time went backwards: %v -> %v", e.now, n.at))
 	}
 	e.now = n.at
-	e.curShard = int(n.shard)
-	e.pending--
 	e.processed++
-	s.processed++
 	fn, fnA, arg := n.fn, n.fnA, n.arg
 	e.release(n)
 	r := e.Prof.Enter(prof.SiteSimEvent)
@@ -379,7 +211,6 @@ func (e *Engine) fire(s *shard) {
 		fn()
 	}
 	r.End()
-	e.curShard = 0
 }
 
 // Run executes events until the queue drains. It returns ErrHorizon if the
@@ -395,16 +226,11 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.running {
 		panic("sim: re-entrant Run")
 	}
-	e.ensure()
 	e.running = true
 	defer func() { e.running = false }()
 	var n uint64
-	for {
-		s := e.minShard()
-		if s == nil || s.headAt > limit {
-			break
-		}
-		e.fire(s)
+	for e.q.peek() && e.q.headAt <= limit {
+		e.fire()
 		n++
 		if e.Horizon > 0 && n >= e.Horizon {
 			return ErrHorizon
@@ -443,6 +269,3 @@ func (e *Engine) Ticker(period Time, fn func(i int)) (stop func()) {
 		e.Cancel(pending)
 	}
 }
-
-// After is a readability helper equivalent to Schedule.
-func (e *Engine) After(d Time, fn func()) Event { return e.Schedule(d, fn) }

@@ -171,24 +171,6 @@ func TestTickerStopImmediately(t *testing.T) {
 	}
 }
 
-func TestReschedule(t *testing.T) {
-	e := NewEngine()
-	n := 0
-	ev := e.Schedule(Second, func() { n++ })
-	e.Schedule(500*Millisecond, func() {
-		ev = e.Reschedule(ev, 2*Second) // now fires at 2.5s
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("event fired %d times, want exactly 1", n)
-	}
-	if e.Now() != 2500*Millisecond {
-		t.Fatalf("Now() = %v, want 2.5s", e.Now())
-	}
-}
-
 func TestNegativeDelayClamped(t *testing.T) {
 	e := NewEngine()
 	fired := false

@@ -1,6 +1,6 @@
 // Hierarchical timer wheel — the pending-event store behind Engine.
 //
-// Each shard keeps a near heap (a hand-rolled binary min-heap ordered by
+// The wheel keeps a near heap (a hand-rolled binary min-heap ordered by
 // exact (time, sequence), no interface boxing) holding every event whose
 // tick has been reached by the wheel cursor, plus numLevels overflow
 // levels of wheelSlots slots each. Level k slots are 2^(tickBits+k*slotBits)
@@ -38,15 +38,13 @@ const (
 // time (freelist, near heap, or a wheel slot), tracked by where. The
 // generation counter invalidates stale Event handles on recycle.
 type node struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	fnA   func(any)
-	arg   any
-	label string
+	at  Time
+	seq uint64
+	fn  func()
+	fnA func(any)
+	arg any
 
 	gen     uint32
-	shard   int32
 	where   uint8
 	level   uint8
 	slot    uint16
@@ -87,8 +85,8 @@ func (l *list) unlink(n *node) {
 	n.prev, n.next = nil, nil
 }
 
-// shard is one timer wheel plus its near heap.
-type shard struct {
+// wheel is the timer wheel plus its near heap.
+type wheel struct {
 	near []*node // binary min-heap by (at, seq)
 
 	levels [numLevels][wheelSlots]list
@@ -96,18 +94,13 @@ type shard struct {
 	wheelN int    // events currently in slots (not in near)
 	cur    uint64 // wheel cursor in ticks; see ordering invariant above
 
-	count     int // total pending on this shard
-	processed uint64
+	count int // total pending
 
-	// Cached head key, maintained so the executive's shard merge is a
+	// Cached head key, maintained so the executive's limit check is a
 	// handful of integer compares instead of a wheel scan per step.
 	headOK  bool
 	headAt  Time
 	headSeq uint64
-}
-
-func newShard() *shard {
-	return &shard{near: make([]*node, 0, 64)}
 }
 
 // levelFor places a delta (in ticks, >= 1) on its wheel level.
@@ -119,7 +112,7 @@ func levelFor(delta uint64) int {
 	return lvl
 }
 
-func (s *shard) insert(n *node) {
+func (s *wheel) insert(n *node) {
 	s.count++
 	tick := n.tick()
 	if tick <= s.cur {
@@ -132,7 +125,7 @@ func (s *shard) insert(n *node) {
 	s.toSlot(n, tick)
 }
 
-func (s *shard) toSlot(n *node, tick uint64) {
+func (s *wheel) toSlot(n *node, tick uint64) {
 	lvl := levelFor(tick - s.cur)
 	// A delta near the top of its level's range can alias the cursor's
 	// own slot (unit difference of exactly wheelSlots — one full wrap),
@@ -153,7 +146,7 @@ func (s *shard) toSlot(n *node, tick uint64) {
 	s.wheelN++
 }
 
-func (s *shard) remove(n *node) {
+func (s *wheel) remove(n *node) {
 	s.count--
 	switch n.where {
 	case whereNear:
@@ -174,8 +167,8 @@ func (s *shard) remove(n *node) {
 }
 
 // peek ensures the cached head key is valid, refilling the near heap from
-// the wheel as needed. It reports false when the shard is empty.
-func (s *shard) peek() bool {
+// the slots as needed. It reports false when the wheel is empty.
+func (s *wheel) peek() bool {
 	if s.headOK {
 		return true
 	}
@@ -193,13 +186,13 @@ func (s *shard) peek() bool {
 
 // popHead removes and returns the earliest event. peek must have returned
 // true immediately before.
-func (s *shard) popHead() *node {
+func (s *wheel) popHead() *node {
 	n := s.heapPop()
 	s.count--
 	n.where = whereFree
 	// After a completed refill every slot-resident event is strictly
 	// later than the wheel cursor, so the remaining heap minimum is still
-	// the shard minimum; only an empty heap forces another wheel scan.
+	// the wheel minimum; only an empty heap forces another wheel scan.
 	if len(s.near) > 0 {
 		h := s.near[0]
 		s.headAt, s.headSeq, s.headOK = h.at, h.seq, true
@@ -210,11 +203,11 @@ func (s *shard) popHead() *node {
 }
 
 // refill advances the wheel cursor until the near heap provably holds the
-// shard minimum: it repeatedly locates the earliest occupied slot across
+// wheel minimum: it repeatedly locates the earliest occupied slot across
 // all levels (bitmap scan), cascades overflow slots downward, and drains
 // level-0 slots into the heap, stopping once every remaining slot is
 // strictly beyond the cursor.
-func (s *shard) refill() {
+func (s *wheel) refill() {
 	for s.wheelN > 0 {
 		bestTick, bestLvl := s.findEarliest()
 		if bestLvl < 0 {
@@ -236,7 +229,7 @@ func (s *shard) refill() {
 // candidate is the start tick of the next occupied slot's span, clamped to
 // the cursor — an upper-level slot can begin before cur while holding only
 // later events, and draining it re-sorts those events onto lower levels.
-func (s *shard) findEarliest() (uint64, int) {
+func (s *wheel) findEarliest() (uint64, int) {
 	var bestTick uint64
 	bestLvl := -1
 	for lvl := 0; lvl < numLevels; lvl++ {
@@ -261,7 +254,7 @@ func (s *shard) findEarliest() (uint64, int) {
 // nextOccupied scans level lvl's bitmap circularly from slot pos
 // (inclusive) and returns the offset (0..wheelSlots-1) to the first
 // occupied slot.
-func (s *shard) nextOccupied(lvl int, pos uint64) (uint64, bool) {
+func (s *wheel) nextOccupied(lvl int, pos uint64) (uint64, bool) {
 	bm := &s.bitmap[lvl]
 	if bm[0]|bm[1]|bm[2]|bm[3] == 0 {
 		return 0, false
@@ -283,7 +276,7 @@ func (s *shard) nextOccupied(lvl int, pos uint64) (uint64, bool) {
 // drain empties one slot: level-0 events go straight to the near heap
 // (their tick equals the cursor now), upper-level events cascade through
 // insert, landing on a finer level or the heap.
-func (s *shard) drain(lvl int, idx uint16) {
+func (s *wheel) drain(lvl int, idx uint16) {
 	l := &s.levels[lvl][idx]
 	n := l.head
 	l.head, l.tail = nil, nil
@@ -311,14 +304,14 @@ func nodeLess(a, b *node) bool {
 	return a.seq < b.seq
 }
 
-func (s *shard) heapPush(n *node) {
+func (s *wheel) heapPush(n *node) {
 	n.where = whereNear
 	n.heapIdx = int32(len(s.near))
 	s.near = append(s.near, n)
 	s.siftUp(len(s.near) - 1)
 }
 
-func (s *shard) heapPop() *node {
+func (s *wheel) heapPop() *node {
 	h := s.near
 	n := h[0]
 	last := len(h) - 1
@@ -332,7 +325,7 @@ func (s *shard) heapPop() *node {
 	return n
 }
 
-func (s *shard) heapRemove(i int) {
+func (s *wheel) heapRemove(i int) {
 	h := s.near
 	last := len(h) - 1
 	if i != last {
@@ -348,7 +341,7 @@ func (s *shard) heapRemove(i int) {
 	}
 }
 
-func (s *shard) siftUp(i int) {
+func (s *wheel) siftUp(i int) {
 	h := s.near
 	n := h[i]
 	for i > 0 {
@@ -365,7 +358,7 @@ func (s *shard) siftUp(i int) {
 }
 
 // siftDown reports whether the node moved.
-func (s *shard) siftDown(i int) bool {
+func (s *wheel) siftDown(i int) bool {
 	h := s.near
 	n := h[i]
 	start := i

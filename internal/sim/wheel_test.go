@@ -165,58 +165,6 @@ func TestWheelNestedRandom(t *testing.T) {
 	}
 }
 
-// TestShardMergeMatchesSequential runs an identical nested workload on a
-// single-shard engine and on a sharded engine (events pinned round-robin
-// across shards) and requires the identical fire sequence — the
-// deterministic-merge guarantee the PDES mode rests on.
-func TestShardMergeMatchesSequential(t *testing.T) {
-	run := func(shards int) []int64 {
-		e := NewEngine()
-		idx := make([]int, 0, shards)
-		idx = append(idx, 0)
-		for i := 1; i < shards; i++ {
-			idx = append(idx, e.AddShard())
-		}
-		r := rand.New(rand.NewSource(7))
-		var log []int64
-		var n int
-		// Shard targets derive from the deterministic spawn counter, not
-		// from r, so the random-draw sequence is identical whatever the
-		// shard count — only placement differs.
-		var spawn func()
-		spawn = func() {
-			log = append(log, int64(e.Now()))
-			if n >= 3000 {
-				return
-			}
-			n++
-			d := Time(r.Int63n(int64(Minute)))
-			e.ScheduleShard(idx[n%len(idx)], d, spawn)
-		}
-		for i := 0; i < 64; i++ {
-			n++
-			d := Time(r.Int63n(int64(Hour)))
-			e.ScheduleShard(idx[i%len(idx)], d, spawn)
-		}
-		if err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return log
-	}
-	seq := run(1)
-	for _, shards := range []int{2, 5, 16} {
-		got := run(shards)
-		if len(got) != len(seq) {
-			t.Fatalf("%d shards: %d events vs %d sequential", shards, len(got), len(seq))
-		}
-		for i := range got {
-			if got[i] != seq[i] {
-				t.Fatalf("%d shards: trajectory diverges at event %d: %d vs %d", shards, i, got[i], seq[i])
-			}
-		}
-	}
-}
-
 // TestScheduleFireZeroAlloc is the pooled-kernel guard: after warmup,
 // a Schedule→fire→reuse cycle must not allocate (mirroring the
 // nil-profiler zero-alloc guard in internal/prof).

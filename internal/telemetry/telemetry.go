@@ -6,9 +6,8 @@
 //
 // All primitives are goroutine-safe: counters and gauges are lock-free
 // atomics and histograms take a short mutex per observation, so parallel
-// scorers, sharded simulation spines, and harnesses inspecting a live run
-// from another goroutine can all record and read concurrently (the CI
-// -race lane exercises this).
+// scorers and harnesses inspecting a live run from another goroutine can
+// all record and read concurrently (the CI -race lane exercises this).
 //
 // Metrics can carry labels. A labelled series is addressed by its
 // canonical key — name{k1=v1,k2=v2} with keys sorted — built once with Key

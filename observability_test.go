@@ -2,7 +2,8 @@
 // a byte-identical Chrome trace (golden below, refresh with -update), the
 // spans must causally link submit -> dispatch -> delivery -> run -> insight,
 // and the critical-path extractor must attribute at least 95% of each
-// campaign's virtual makespan to an instrumented layer.
+// campaign's virtual makespan to an instrumented layer. The scheduler's
+// route probes per dispatch stay bounded on a saturated federation.
 package aisle
 
 import (
@@ -12,6 +13,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/aisle-sim/aisle/internal/experiments"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -207,4 +210,39 @@ func TestCriticalPathCoverage(t *testing.T) {
 		t.Fatal("non-positive campaign total time")
 	}
 	t.Logf("coverage %.2f%%, dominant layer %s\n%s", 100*pr.Coverage, pr.Dominant, pr.Render())
+}
+
+func runSaturationSnapshot(t *testing.T, parallelism int) (experiments.SaturationResult, []byte) {
+	t.Helper()
+	res, err := experiments.RunSaturation(experiments.SaturationSpec{
+		Seed:        42,
+		Campaigns:   40,
+		Budget:      6,
+		Parallelism: parallelism,
+	})
+	if err != nil {
+		t.Fatalf("parallelism %d: %v", parallelism, err)
+	}
+	var buf bytes.Buffer
+	if err := res.Metrics.WriteJSON(&buf); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	return res, buf.Bytes()
+}
+
+// TestRouteProbesPerDispatchBounded holds the scheduler's waste ratio on a
+// saturated federation (4 sites, 40 campaigns, 4 experiments each in
+// flight): a pump probes once per distinct blocked requirement, not once per
+// queued tenant, so probes stay a small multiple of dispatches however many
+// tenants queue: 3.5 here, where the probe-every-head pump made 24.6.
+func TestRouteProbesPerDispatchBounded(t *testing.T) {
+	res, _ := runSaturationSnapshot(t, 4)
+	probes := res.Metrics.Counter("sched.route_probes").Value()
+	dispatched := res.Metrics.Counter("sched.dispatched").Value()
+	if dispatched == 0 || res.Metrics.Counter("sched.pumps").Value() == 0 {
+		t.Fatalf("nothing went through the scheduler: %d dispatched", dispatched)
+	}
+	if ratio := float64(probes) / float64(dispatched); ratio > 8 {
+		t.Errorf("sched.route_probes / sched.dispatched = %d / %d = %.1f, want <= 8", probes, dispatched, ratio)
+	}
 }
