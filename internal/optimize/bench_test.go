@@ -1,6 +1,7 @@
 package optimize
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/param"
@@ -101,5 +102,36 @@ func BenchmarkAsk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		bo.stale = true // each iteration pays one incremental sync
 		_ = bo.Ask()
+	}
+}
+
+// refillState is a campaign mid-flight: n told observations on the 4-d
+// bench space and three experiments in flight, the state every
+// deep_campaign refill asks from.
+func refillState(n int, opts BayesOpts) (*Bayes, []param.Point) {
+	space := benchSpace()
+	bo := NewBayes(space, rng.New(11), opts)
+	r := rng.New(13)
+	for i := 0; i < n; i++ {
+		bo.Tell(space.Sample(r), r.Normal(0, 1))
+	}
+	return bo, []param.Point{space.Sample(r), space.Sample(r), space.Sample(r)}
+}
+
+// BenchmarkAskRefill measures the decision campaigns actually make: one
+// AskBatch(1, fly) refill with three points in flight, at the small
+// training sets (n <= 67) a 64-experiment campaign asks from.
+func BenchmarkAskRefill(b *testing.B) {
+	for _, n := range []int{16, 64} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			bo, fly := refillState(n, BayesOpts{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := bo.AskBatch(1, fly); len(got) != 1 {
+					b.Fatalf("AskBatch returned %d points", len(got))
+				}
+			}
+		})
 	}
 }

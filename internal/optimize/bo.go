@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
@@ -59,8 +60,8 @@ type BayesOpts struct {
 	// bound are dropped (keeps the factor bounded in long campaigns).
 	// Default 256.
 	MaxFit int
-	// ScoreWorkers caps the goroutines that score the candidate pool.
-	// Default (0) uses GOMAXPROCS. Scoring is a pure function of the
+	// ScoreWorkers caps the goroutines that score the candidate pool, the
+	// asking goroutine included. Default (0) uses GOMAXPROCS. Scoring is a pure function of the
 	// shared posterior — workers consume no randomness and results merge
 	// by candidate index — so any worker count returns the identical
 	// point for a fixed seed.
@@ -98,11 +99,14 @@ func (o *BayesOpts) defaults(dims int) {
 }
 
 // candPool holds the reusable candidate-generation and scoring buffers, so
-// a steady-state Ask allocates only the returned point.
+// a steady-state Ask allocates only the returned point. Candidates live as
+// flat rows of values in dimension order; only a returned candidate
+// becomes a param.Point.
 type candPool struct {
-	pts    []param.Point // reused candidate maps
-	units  []float64     // flat unit-cube coordinates, total*dims
-	uview  [][]float64   // per-candidate views into units
+	dims   int
+	vals   []float64   // flat candidate values, total*dims
+	units  []float64   // flat unit-cube coordinates, total*dims
+	uview  [][]float64 // per-candidate views into units
 	mu     []float64
 	va     []float64
 	scores []float64
@@ -126,24 +130,21 @@ type candPool struct {
 }
 
 func (c *candPool) ensure(total, dims, workers int) {
-	for len(c.pts) < total {
-		c.pts = append(c.pts, make(param.Point, dims))
-	}
+	c.dims = dims
+	c.vals = growTo(c.vals, total*dims)
 	c.units = growTo(c.units, total*dims)
-	if cap(c.uview) < total {
-		c.uview = make([][]float64, total)
-	}
-	c.uview = c.uview[:total]
-	for i := 0; i < total; i++ {
+	c.uview = growTo(c.uview, total)
+	for i := range c.uview {
 		c.uview[i] = c.units[i*dims : (i+1)*dims]
 	}
 	c.mu = growTo(c.mu, total)
 	c.va = growTo(c.va, total)
 	c.scores = growTo(c.scores, total)
-	for len(c.scratch) < workers {
-		c.scratch = append(c.scratch, PredictScratch{})
-	}
+	c.scratch = growTo(c.scratch, workers)
 }
+
+// row is candidate i's values in dimension order.
+func (c *candPool) row(i int) []float64 { return c.vals[i*c.dims : (i+1)*c.dims] }
 
 // Bayes is a Gaussian-process Bayesian optimizer with native support for
 // discrete-continuous spaces: candidates are snapped to parameter lattices
@@ -335,7 +336,7 @@ func (b *Bayes) askScored(best float64) param.Point {
 	if idx < 0 {
 		return b.space.Sample(b.rnd)
 	}
-	return b.cand.pts[idx].Clone()
+	return b.space.PointOf(b.cand.row(idx))
 }
 
 // workers resolves the scoring worker count.
@@ -348,10 +349,10 @@ func (b *Bayes) workers() int {
 }
 
 // drawCandidates fills the pool with Candidates uniform samples plus
-// LocalCandidates perturbations of the incumbent, reusing the pool's maps
-// and unit buffers. Draws come from the optimizer's own stream, in the
-// same order as serial asks, so a fixed seed proposes identical points
-// regardless of scoring parallelism.
+// LocalCandidates perturbations of the incumbent, drawn straight into the
+// pool's flat rows and mapped to unit coordinates. Draws come from the
+// optimizer's own stream, in the same order as serial asks, so a fixed
+// seed proposes identical points regardless of scoring parallelism.
 func (b *Bayes) drawCandidates() int {
 	dims := len(b.space)
 	m := b.opts.Candidates
@@ -359,57 +360,58 @@ func (b *Bayes) drawCandidates() int {
 	if b.bestP != nil {
 		total += b.opts.LocalCandidates
 	}
-	b.cand.ensure(total, dims, b.workers())
+	c := &b.cand
+	c.ensure(total, dims, b.workers())
 	for i := 0; i < m; i++ {
-		b.space.SampleInto(b.rnd, b.cand.pts[i])
+		b.space.SampleValues(b.rnd, c.row(i))
 	}
 	for i := m; i < total; i++ {
-		b.perturbInto(b.cand.pts[i], b.bestP)
+		b.perturbInto(c.row(i), b.bestP)
 	}
 	for i := 0; i < total; i++ {
-		b.space.ToUnitInto(b.cand.pts[i], b.cand.uview[i])
+		b.space.ValuesToUnit(c.row(i), c.uview[i])
 	}
 	return total
 }
 
 // perturbInto samples near src with per-dimension Gaussian steps (10% of
-// range), snapped onto lattices.
-func (b *Bayes) perturbInto(dst param.Point, src param.Point) {
-	for _, d := range b.space {
+// range), snapped onto lattices, into dst in dimension order.
+func (b *Bayes) perturbInto(dst []float64, src param.Point) {
+	for i, d := range b.space {
 		sigma := (d.Hi - d.Lo) * 0.1
-		dst[d.Name] = d.Snap(src[d.Name] + b.rnd.Normal(0, sigma))
+		dst[i] = d.Snap(src[d.Name] + b.rnd.Normal(0, sigma))
 	}
 }
 
-// shard fans f over [0,m) across the scoring workers with deterministic
-// contiguous ranges. Each worker owns its index range and its own scratch,
-// so results are written by index and never contend.
+// shard runs f over [0,m) one predictBlock-aligned block at a time. The
+// calling goroutine and at most workers-1 helpers claim blocks from one
+// atomic counter, so a slow worker never leaves the others idle; each
+// worker has its own scratch (the worker argument) and results are written
+// by candidate index, so which worker scored a block cannot change the
+// outcome. Every helper has exited when shard returns.
 func (b *Bayes) shard(m int, f func(lo, hi, worker int)) {
-	workers := b.workers()
-	if max := (m + predictBlock - 1) / predictBlock; workers > max {
-		workers = max
-	}
+	blocks := (m + predictBlock - 1) / predictBlock
+	workers := min(b.workers(), blocks)
 	if workers <= 1 {
 		f(0, m, 0)
 		return
 	}
-	// Chunks are multiples of the predict block so only the last worker
-	// scores a partial block.
-	chunk := (m + workers - 1) / workers
-	chunk = (chunk + predictBlock - 1) / predictBlock * predictBlock
-	var wg sync.WaitGroup
-	for w := 0; w*chunk < m; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
+	var next atomic.Int32
+	claim := func(w int) {
+		for blk := int(next.Add(1)) - 1; blk < blocks; blk = int(next.Add(1)) - 1 {
+			lo := blk * predictBlock
+			f(lo, min(lo+predictBlock, m), w)
 		}
-		wg.Add(1)
-		go func(lo, hi, w int) {
-			defer wg.Done()
-			f(lo, hi, w)
-		}(lo, hi, w)
 	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func(w int) {
+			defer wg.Done()
+			claim(w)
+		}(w)
+	}
+	claim(0)
 	wg.Wait()
 }
 
@@ -465,13 +467,8 @@ func (b *Bayes) askFantasies(rem int, lie float64) []param.Point {
 	c.vvs = growTo(c.vvs, m)
 	c.kxx = growTo(c.kxx, m)
 	c.vcache = growTo(c.vcache, m*stride)
-	if cap(c.picked) < m {
-		c.picked = make([]bool, m)
-	}
-	c.picked = c.picked[:m]
-	for i := range c.picked {
-		c.picked[i] = false
-	}
+	c.picked = growTo(c.picked, m)
+	clear(c.picked)
 	b.scorePoolBase(m, stride)
 	// Standardization frozen at scoring time: if the model is lost
 	// mid-batch (degraded), remaining picks keep selecting from the last
@@ -501,14 +498,15 @@ func (b *Bayes) askFantasies(rem int, lie float64) []param.Point {
 			continue
 		}
 		c.picked[idx] = true
-		out = append(out, c.pts[idx].Clone())
+		p := b.space.PointOf(c.row(idx))
+		out = append(out, p)
 		if step+1 == rem || degraded {
 			continue
 		}
 		// Fantasize the pick against the shared factor and fold the new
 		// row into every cached candidate solve in O(n).
 		u := c.uview[idx]
-		b.fantasize(c.pts[idx], lie)
+		b.fantasize(p, lie)
 		if !b.gp.appendFrozen(u, lie, b.gp.Noise) {
 			// Positive definiteness broke. The GP either resynced itself
 			// with jitter (rebuild the pool's solve cache and continue) or
@@ -565,7 +563,7 @@ func (b *Bayes) scorePoolBase(m, stride int) {
 				c.kxx[base+t] = kxx[t]
 				vrow := c.vcache[(base+t)*stride:]
 				for r := 0; r < n; r++ {
-					vrow[r] = sc.v[r*predictBlock+t]
+					vrow[r] = sc.v[r][t]
 				}
 			}
 		}
@@ -640,10 +638,7 @@ func (b *Bayes) fullFit(lo, hi int) error {
 	c.fitUnits = growTo(c.fitUnits, n*dims)
 	c.fitYs = growTo(c.fitYs, n)
 	c.fitNoise = growTo(c.fitNoise, n)
-	if cap(c.fitXs) < n {
-		c.fitXs = make([][]float64, n)
-	}
-	c.fitXs = c.fitXs[:n]
+	c.fitXs = growTo(c.fitXs, n)
 	for i := 0; i < n; i++ {
 		o := b.obs[lo+i]
 		c.fitXs[i] = c.fitUnits[i*dims : (i+1)*dims]

@@ -35,13 +35,17 @@ type RBF struct {
 }
 
 // Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 {
+func (k RBF) Eval(a, b []float64) float64 { return k.fromD2(sqDist(a, b)) }
+
+// sqDist is the squared Euclidean distance every stationary kernel here
+// is a function of.
+func sqDist(a, b []float64) float64 {
 	var d2 float64
 	for i := range a {
 		d := a[i] - b[i]
 		d2 += d * d
 	}
-	return k.fromD2(d2)
+	return d2
 }
 
 // fromD2 is the kernel value at squared distance d2 — the single copy of
@@ -59,14 +63,7 @@ type Matern52 struct {
 }
 
 // Eval implements Kernel.
-func (k Matern52) Eval(a, b []float64) float64 {
-	var d2 float64
-	for i := range a {
-		d := a[i] - b[i]
-		d2 += d * d
-	}
-	return k.fromD2(d2)
-}
+func (k Matern52) Eval(a, b []float64) float64 { return k.fromD2(sqDist(a, b)) }
 
 // fromD2 is the kernel value at squared distance d2 — the single copy of
 // the formula shared by Eval and the devirtualized row/block loops, so
@@ -337,23 +334,11 @@ func (g *GP) kernelRow(x, dst []float64, m int) {
 	switch k := g.Kernel.(type) {
 	case Matern52:
 		for j := 0; j < m; j++ {
-			xj := g.xs[j*g.d : j*g.d+g.d]
-			var d2 float64
-			for t := range x {
-				d := x[t] - xj[t]
-				d2 += d * d
-			}
-			dst[j] = k.fromD2(d2)
+			dst[j] = k.fromD2(sqDist(x, g.xs[j*g.d:j*g.d+g.d]))
 		}
 	case RBF:
 		for j := 0; j < m; j++ {
-			xj := g.xs[j*g.d : j*g.d+g.d]
-			var d2 float64
-			for t := range x {
-				d := x[t] - xj[t]
-				d2 += d * d
-			}
-			dst[j] = k.fromD2(d2)
+			dst[j] = k.fromD2(sqDist(x, g.xs[j*g.d:j*g.d+g.d]))
 		}
 	default:
 		for j := 0; j < m; j++ {
@@ -366,8 +351,8 @@ func (g *GP) kernelRow(x, dst []float64, m int) {
 // instance per scoring goroutine makes batch prediction allocation-free in
 // steady state.
 type PredictScratch struct {
-	k []float64 // kernel rows for one block: predictBlock*n
-	v []float64 // interleaved forward solves: n*predictBlock
+	k []lanes // kernel rows for one block, one row per training point
+	v []lanes // interleaved forward solves, one row per training point
 }
 
 // predictBlock is the candidate block width: the triangular solve streams
@@ -375,15 +360,19 @@ type PredictScratch struct {
 // inner loop keeps the accumulators in registers.
 const predictBlock = 8
 
+// lanes is one row of a block: a value per candidate. Fixed-size rows
+// let the block loops index lanes without bounds checks.
+type lanes = [predictBlock]float64
+
 func (s *PredictScratch) ensure(n int) {
-	s.k = growTo(s.k, predictBlock*n)
-	s.v = growTo(s.v, n*predictBlock)
+	s.k = growTo(s.k, n)
+	s.v = growTo(s.v, n)
 }
 
 // growTo returns buf resized to n, reallocating only on growth.
-func growTo(buf []float64, n int) []float64 {
+func growTo[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		grown := make([]float64, n, n+n/2+8)
+		grown := make([]T, n, n+n/2+8)
 		copy(grown, buf)
 		return grown
 	}
@@ -440,42 +429,50 @@ func (g *GP) PredictBatch(xs [][]float64, mu, va []float64, scratch *PredictScra
 // scoreBlock computes, for a block of at most predictBlock candidates, the
 // standardized posterior mean (into mu), the squared norm of the forward
 // solve v = L^{-1} k* (into vv), and the prior variance k(x,x) (into kxx).
-// The interleaved solves remain in v (layout v[row*predictBlock+cand]) for
-// callers that cache them for incremental fantasy updates.
+// The interleaved solves remain in v (v[row][cand]) for callers that cache
+// them for incremental fantasy updates.
 //
-// Kernel rows are stored lane-interleaved (kbuf[j*predictBlock+t]) and
-// every loop runs all predictBlock lanes with fixed bounds — unused lanes
-// compute on zeros — so the eight forward-solve recurrences proceed as
-// independent dependency chains over contiguous loads. Each lane's
-// arithmetic is exactly the single-candidate recurrence.
-func (g *GP) scoreBlock(blk [][]float64, kbuf, v []float64, mu, vv, kxx []float64) {
+// Kernel rows are stored lane-interleaved (kbuf[j][t]) and every loop runs
+// all predictBlock lanes with fixed bounds — unused lanes compute on zeros
+// — so the eight forward-solve recurrences proceed as independent
+// dependency chains over contiguous loads, and the fixed-size rows leave
+// the inner loops without bounds checks. Each lane's arithmetic is exactly
+// the single-candidate recurrence.
+func (g *GP) scoreBlock(blk [][]float64, kbuf, v []lanes, mu, vv, kxx []float64) {
 	n := g.n
-	c := len(blk)
+	kbuf, v = kbuf[:n], v[:n]
 	g.kernelBlock(blk, kbuf)
-	for t, x := range blk {
-		kxx[t] = g.Kernel.Eval(x, x)
+	if kd, ok := selfCov(g.Kernel); ok {
+		for t := range blk {
+			kxx[t] = kd
+		}
+	} else {
+		for t, x := range blk {
+			kxx[t] = g.Kernel.Eval(x, x)
+		}
 	}
-	var m [predictBlock]float64
-	for j := 0; j < n; j++ {
-		av := g.alpha[j]
-		kb := kbuf[j*predictBlock : j*predictBlock+predictBlock]
-		for t := 0; t < predictBlock; t++ {
+	var m lanes
+	alpha := g.alpha[:n]
+	for j := range kbuf {
+		kb, av := &kbuf[j], alpha[j]
+		for t := range kb {
 			m[t] += kb[t] * av
 		}
 	}
 	l := g.fac.l
-	var sq [predictBlock]float64
-	for i := 0; i < n; i++ {
+	var sq lanes
+	for i := range v {
 		row := l[rowOff(i) : rowOff(i)+i+1]
-		kb := kbuf[i*predictBlock : i*predictBlock+predictBlock]
+		kb := &kbuf[i]
 		// Eight accumulators in registers: the eight candidates' solve
 		// recurrences are independent chains, so the loop runs at multiply
 		// throughput instead of one candidate's dependency latency.
 		a0, a1, a2, a3 := kb[0], kb[1], kb[2], kb[3]
 		a4, a5, a6, a7 := kb[4], kb[5], kb[6], kb[7]
-		for k := 0; k < i; k++ {
-			lv := row[k]
-			vb := v[k*predictBlock : k*predictBlock+predictBlock]
+		solved := v[:i]
+		lrow := row[:len(solved)]
+		for k := range solved {
+			lv, vb := lrow[k], &solved[k]
 			a0 -= lv * vb[0]
 			a1 -= lv * vb[1]
 			a2 -= lv * vb[2]
@@ -486,11 +483,9 @@ func (g *GP) scoreBlock(blk [][]float64, kbuf, v []float64, mu, vv, kxx []float6
 			a7 -= lv * vb[7]
 		}
 		d := row[i]
-		vb := v[i*predictBlock : i*predictBlock+predictBlock]
 		a0, a1, a2, a3 = a0/d, a1/d, a2/d, a3/d
 		a4, a5, a6, a7 = a4/d, a5/d, a6/d, a7/d
-		vb[0], vb[1], vb[2], vb[3] = a0, a1, a2, a3
-		vb[4], vb[5], vb[6], vb[7] = a4, a5, a6, a7
+		v[i] = lanes{a0, a1, a2, a3, a4, a5, a6, a7}
 		sq[0] += a0 * a0
 		sq[1] += a1 * a1
 		sq[2] += a2 * a2
@@ -500,60 +495,55 @@ func (g *GP) scoreBlock(blk [][]float64, kbuf, v []float64, mu, vv, kxx []float6
 		sq[6] += a6 * a6
 		sq[7] += a7 * a7
 	}
-	for t := 0; t < c; t++ {
+	for t := range blk {
 		mu[t] = m[t]
 		vv[t] = sq[t]
 	}
 }
 
-// kernelBlock fills kbuf[j*predictBlock+t] = k(blk[t], x_j), zeroing lanes
-// past len(blk). The common kernels are devirtualized; formulas match Eval
+// selfCov returns the prior variance k(x, x) of the devirtualized kernels,
+// which for every finite x is fromD2(0); ok is false for other kernels.
+func selfCov(k Kernel) (kxx float64, ok bool) {
+	switch k := k.(type) {
+	case Matern52:
+		return k.fromD2(0), true
+	case RBF:
+		return k.fromD2(0), true
+	}
+	return 0, false
+}
+
+// kernelBlock fills kbuf[j][t] = k(blk[t], x_j), zeroing lanes past
+// len(blk). The common kernels are devirtualized; formulas match Eval
 // exactly.
-func (g *GP) kernelBlock(blk [][]float64, kbuf []float64) {
-	n, c, d := g.n, len(blk), g.d
+func (g *GP) kernelBlock(blk [][]float64, kbuf []lanes) {
+	d := g.d
 	switch k := g.Kernel.(type) {
 	case Matern52:
-		for j := 0; j < n; j++ {
+		for j := range kbuf {
 			xj := g.xs[j*d : j*d+d]
-			kb := kbuf[j*predictBlock : j*predictBlock+predictBlock]
-			for t := 0; t < c; t++ {
-				x := blk[t]
-				var d2 float64
-				for q := range x {
-					dd := x[q] - xj[q]
-					d2 += dd * dd
-				}
-				kb[t] = k.fromD2(d2)
-			}
-			for t := c; t < predictBlock; t++ {
-				kb[t] = 0
+			kb := &kbuf[j]
+			*kb = lanes{}
+			for t, x := range blk {
+				kb[t] = k.fromD2(sqDist(x, xj))
 			}
 		}
 	case RBF:
-		for j := 0; j < n; j++ {
+		for j := range kbuf {
 			xj := g.xs[j*d : j*d+d]
-			kb := kbuf[j*predictBlock : j*predictBlock+predictBlock]
-			for t := 0; t < c; t++ {
-				x := blk[t]
-				var d2 float64
-				for q := range x {
-					dd := x[q] - xj[q]
-					d2 += dd * dd
-				}
-				kb[t] = k.fromD2(d2)
-			}
-			for t := c; t < predictBlock; t++ {
-				kb[t] = 0
+			kb := &kbuf[j]
+			*kb = lanes{}
+			for t, x := range blk {
+				kb[t] = k.fromD2(sqDist(x, xj))
 			}
 		}
 	default:
-		for j := 0; j < n; j++ {
-			kb := kbuf[j*predictBlock : j*predictBlock+predictBlock]
-			for t := 0; t < c; t++ {
-				kb[t] = g.Kernel.Eval(blk[t], g.xs[j*d:j*d+d])
-			}
-			for t := c; t < predictBlock; t++ {
-				kb[t] = 0
+		for j := range kbuf {
+			xj := g.xs[j*d : j*d+d]
+			kb := &kbuf[j]
+			*kb = lanes{}
+			for t, x := range blk {
+				kb[t] = g.Kernel.Eval(x, xj)
 			}
 		}
 	}

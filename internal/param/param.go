@@ -112,22 +112,38 @@ func (s Space) Snap(p Point) Point {
 // Sample draws a uniform random point (lattice-respecting).
 func (s Space) Sample(r *rng.Stream) Point {
 	p := make(Point, len(s))
-	s.SampleInto(r, p)
+	for _, d := range s {
+		p[d.Name] = d.sample(r)
+	}
 	return p
 }
 
-// SampleInto draws a uniform random point into p, reusing its storage.
-// The random draws are identical to Sample's, so the two are
-// interchangeable on a shared stream; hot loops (candidate pools) use
-// SampleInto to avoid a map allocation per draw.
-func (s Space) SampleInto(r *rng.Stream, p Point) {
-	for _, d := range s {
-		if n := d.Levels(); n > 0 {
-			p[d.Name] = d.Lo + float64(r.Intn(n))*d.Step
-		} else {
-			p[d.Name] = r.Range(d.Lo, d.Hi)
-		}
+// SampleValues draws a uniform random point into dst in dimension order
+// (len(dst) >= len(s)), consuming the stream exactly as Sample does. Hot
+// loops (candidate pools) draw straight into flat rows this way and build
+// a Point only for the winner.
+func (s Space) SampleValues(r *rng.Stream, dst []float64) {
+	for i, d := range s {
+		dst[i] = d.sample(r)
 	}
+}
+
+// sample draws one uniform value: a lattice level for a discrete
+// dimension, a point of [Lo, Hi) for a continuous one.
+func (d Dim) sample(r *rng.Stream) float64 {
+	if n := d.Levels(); n > 0 {
+		return d.Lo + float64(r.Intn(n))*d.Step
+	}
+	return r.Range(d.Lo, d.Hi)
+}
+
+// PointOf builds the point whose values, in dimension order, are vals.
+func (s Space) PointOf(vals []float64) Point {
+	p := make(Point, len(s))
+	for i, d := range s {
+		p[d.Name] = vals[i]
+	}
+	return p
 }
 
 // SampleLHS draws n stratified points via Latin hypercube sampling.
@@ -166,12 +182,24 @@ func (s Space) ToUnit(p Point) []float64 {
 // the allocation-free form batch scoring loops use.
 func (s Space) ToUnitInto(p Point, u []float64) {
 	for i, d := range s {
-		if d.Hi == d.Lo {
-			u[i] = 0
-			continue
-		}
-		u[i] = (p[d.Name] - d.Lo) / (d.Hi - d.Lo)
+		u[i] = d.unit(p[d.Name])
 	}
+}
+
+// ValuesToUnit is ToUnitInto for a point held as values in dimension
+// order: u[i] is vals[i] mapped into [0,1].
+func (s Space) ValuesToUnit(vals, u []float64) {
+	for i, d := range s {
+		u[i] = d.unit(vals[i])
+	}
+}
+
+// unit maps v into [0,1] (0 for a degenerate dimension).
+func (d Dim) unit(v float64) float64 {
+	if d.Hi == d.Lo {
+		return 0
+	}
+	return (v - d.Lo) / (d.Hi - d.Lo)
 }
 
 // FromUnit maps a unit-cube vector back to a (snapped) point.

@@ -68,31 +68,35 @@ type signer struct {
 }
 
 // canonical returns the deterministic byte string that is signed, rebuilt
-// from t's fields as they are now. It is valid until the next call.
+// from t's fields as they are now. It is valid until the next call. Every
+// string field carries its length ("sub=7:agent-1"), so no field's content
+// can spell out a delimiter or a field of its own: two tokens sign the same
+// bytes only if every field is equal.
 func (s *signer) canonical(t *Token) []byte {
 	keys := s.keys[:0]
 	for k := range t.Attributes {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	b := append(s.buf[:0], "sub="...)
-	b = append(b, t.Subject...)
-	b = append(b, "|iss="...)
-	b = append(b, t.Issuer...)
-	b = append(b, "|aud="...)
-	b = append(b, t.Audience...)
+	b := appendField(append(s.buf[:0], "sub="...), t.Subject)
+	b = appendField(append(b, "|iss="...), string(t.Issuer))
+	b = appendField(append(b, "|aud="...), string(t.Audience))
 	b = append(b, "|iat="...)
 	b = strconv.AppendInt(b, int64(t.IssuedAt), 10)
 	b = append(b, "|exp="...)
 	b = strconv.AppendInt(b, int64(t.ExpiresAt), 10)
 	for _, k := range keys {
-		b = append(b, '|')
-		b = append(b, k...)
-		b = append(b, '=')
-		b = append(b, t.Attributes[k]...)
+		b = appendField(append(b, '|'), k)
+		b = appendField(append(b, '='), t.Attributes[k])
 	}
 	s.keys, s.buf = keys, b
 	return b
+}
+
+// appendField appends v as "<len>:<v>".
+func appendField(b []byte, v string) []byte {
+	b = strconv.AppendInt(b, int64(len(v)), 10)
+	return append(append(b, ':'), v...)
 }
 
 // sign returns the HMAC-SHA256 of t's canonical bytes. The result is valid

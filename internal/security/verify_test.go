@@ -26,10 +26,12 @@ func refCanonical(t *Token) []byte {
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	fmt.Fprintf(&b, "sub=%s|iss=%s|aud=%s|iat=%d|exp=%d",
-		t.Subject, t.Issuer, t.Audience, t.IssuedAt, t.ExpiresAt)
+	fmt.Fprintf(&b, "sub=%d:%s|iss=%d:%s|aud=%d:%s|iat=%d|exp=%d",
+		len(t.Subject), t.Subject, len(t.Issuer), t.Issuer, len(t.Audience), t.Audience,
+		t.IssuedAt, t.ExpiresAt)
 	for _, k := range keys {
-		fmt.Fprintf(&b, "|%s=%s", k, t.Attributes[k])
+		v := t.Attributes[k]
+		fmt.Fprintf(&b, "|%d:%s=%d:%s", len(k), k, len(v), v)
 	}
 	return []byte(b.String())
 }
@@ -311,8 +313,8 @@ func TestPDPInOptions(t *testing.T) {
 }
 
 // FuzzVerifyTamper presents edited copies of one genuine token. A copy
-// verifies only if it presents exactly the bytes that were signed and the
-// signature made over them.
+// verifies if and only if every field and the signature are the genuine
+// ones.
 func FuzzVerifyTamper(f *testing.F) {
 	eng := sim.NewEngine()
 	fed := NewFederation(eng)
@@ -338,8 +340,8 @@ func FuzzVerifyTamper(f *testing.F) {
 	f.Add("agent-1", "ornl", "anl", iat, exp, "role", "viewer", "admin", "true", genuine.Sig)
 	f.Add("agent-1", "ornl", "anl", iat, exp, "role", "viewer", "clearance", "standard", genuine.Sig[:31])
 	f.Add("agent-1", "ornl", "anl", iat, exp, "role", "viewer", "clearance", "standard", []byte("chaos-forged"))
-	// The signed form does not escape its delimiters: one attribute whose
-	// value spells out the second presents the very bytes that were signed.
+	// One attribute whose value spells out the second in an unprefixed
+	// "k=v|k=v" form must not present the signed bytes.
 	f.Add("agent-1", "ornl", "anl", iat, exp, "clearance", "standard|role=viewer", "clearance", "standard|role=viewer", genuine.Sig)
 
 	var s signer
@@ -355,8 +357,6 @@ func FuzzVerifyTamper(f *testing.F) {
 		sameFields := tok.Subject == genuine.Subject && tok.Issuer == genuine.Issuer &&
 			tok.Audience == genuine.Audience && tok.IssuedAt == genuine.IssuedAt &&
 			tok.ExpiresAt == genuine.ExpiresAt && maps.Equal(tok.Attributes, genuine.Attributes)
-		sameSigned := tok.Issuer == genuine.Issuer && bytes.Equal(sig, genuine.Sig) &&
-			bytes.Equal(refCanonical(tok), refCanonical(genuine))
 		err := fed.Verify("anl", tok)
 		switch {
 		case sameFields && bytes.Equal(sig, genuine.Sig):
@@ -367,12 +367,8 @@ func FuzzVerifyTamper(f *testing.F) {
 			if !errors.Is(err, ErrUntrustedIssuer) {
 				t.Fatalf("issuer %q: err = %v, want ErrUntrustedIssuer", iss, err)
 			}
-		case !sameSigned:
-			if !errors.Is(err, ErrBadSignature) {
-				t.Fatalf("tampered token %+v: err = %v, want ErrBadSignature", tok, err)
-			}
-		case !strings.ContainsAny(sub+iss+aud+k1+v1+k2+v2, "|="):
-			t.Fatalf("fields %+v differ from the signed ones yet produce the signed bytes", tok)
+		case !errors.Is(err, ErrBadSignature):
+			t.Fatalf("tampered token %+v: err = %v, want ErrBadSignature", tok, err)
 		}
 		if err := fed.Verify("anl", genuine); err != nil {
 			t.Fatalf("genuine token refused after %+v: %v", tok, err)
