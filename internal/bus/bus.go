@@ -64,6 +64,14 @@ type Envelope struct {
 	// layer records per-hop delivery spans against it.
 	Trace trace.Context
 
+	// The hop's brokers, resolved once by the sender, and the call or
+	// publish a request, reply, event or ack
+	// belongs to. Those are pooled, so an answer settles its target only
+	// if the target's current correlation ID is CorrID.
+	src, dst *Broker
+	pc       *pendingCall
+	pub      *pendingPub
+
 	// Pool bookkeeping. Envelopes on the hot paths (requests, replies,
 	// events, acks) come from the fabric's freelist and are recycled at
 	// well-defined points: replies/events/acks when broker dispatch returns,
@@ -106,8 +114,7 @@ type Fabric struct {
 
 	// pub/sub state shared across sites.
 	topicSubs    map[string][]subscriberRef
-	awaitingAck  map[uint64]*pendingPub // at-least-once event deliveries by CorrID
-	awaitingConf map[uint64]sim.Event   // queue publisher confirms by CorrID
+	awaitingConf map[uint64]sim.Event // queue publisher confirms by CorrID
 	deadLetters  []*Envelope
 
 	// Freelists for the pooled hot-path objects. Single-threaded like the
@@ -237,14 +244,13 @@ func (f *Fabric) send(env *Envelope) error {
 	if env.Token == nil && f.TokenSource != nil {
 		env.Token = f.TokenSource(env.From)
 	}
-	err := f.net.Send(netsim.Message{
-		From:    env.From.Site,
-		To:      env.To.Site,
-		Service: "bus",
-		Size:    size,
-		Payload: env,
-		Trace:   env.Trace,
-	}, f.deliverFn)
+	// Filled field by field: a composite literal would be built aside and
+	// copied, and this runs once per message.
+	var msg netsim.Message
+	msg.From, msg.To = env.From.Site, env.To.Site
+	msg.Service, msg.Size = "bus", size
+	msg.Payload, msg.Trace = env, env.Trace
+	err := f.net.SendSites(env.src.netSite(), env.dst.netSite(), &msg, f.deliverFn)
 	if err != nil {
 		f.releaseEnv(env)
 	}
@@ -252,22 +258,32 @@ func (f *Fabric) send(env *Envelope) error {
 }
 
 // deliverMsg is the shared arrival trampoline: the envelope rides in the
-// message payload and names its own destination broker.
+// message payload and carries its destination broker.
 func (f *Fabric) deliverMsg(m netsim.Message) {
 	env := m.Payload.(*Envelope)
-	f.Broker(env.To.Site).deliver(env)
+	env.dst.deliver(env)
 }
 
 // Broker is the per-site message broker.
 type Broker struct {
 	fabric      *Fabric
 	site        netsim.SiteID
+	ns          *netsim.Site // the network's site, once it knows it
 	endpoints   map[string]endpoint
 	subs        map[string][]subscription
 	queues      map[string]*Queue
-	pending     map[uint64]*pendingCall
 	consumerFns map[consumerKey]func(*Envelope) error
 	seenPublish map[uint64]bool
+}
+
+// netSite returns the network's site for b, resolving it on first use; nil
+// while the network does not know it, which SendSites refuses as an unknown
+// site by name.
+func (b *Broker) netSite() *netsim.Site {
+	if b.ns == nil {
+		b.ns = b.fabric.net.Site(b.site)
+	}
+	return b.ns
 }
 
 // endpoint is one registered request handler: an asynchronous Handler, or —
@@ -360,11 +376,8 @@ func (b *Broker) deliver(env *Envelope) {
 		b.handleQueueDelivery(env)
 		return
 	case KindReply:
-		if b.pending != nil {
-			if pc, ok := b.pending[env.CorrID]; ok {
-				delete(b.pending, env.CorrID)
-				pc.complete(env.Payload, pc.errFromEnvelope(env))
-			}
+		if pc := env.pc; pc != nil && pc.corr == env.CorrID {
+			pc.complete(env.Payload, pc.errFromEnvelope(env))
 		}
 	case KindEvent:
 		for _, sub := range b.subs[env.Topic] {
@@ -441,6 +454,7 @@ func (b *Broker) reply(req *Envelope, result any, err error) {
 	env.Kind = KindReply
 	env.From = req.To
 	env.To = req.From
+	env.src, env.dst, env.pc = b, req.src, req.pc
 	env.Method = req.Method
 	env.CorrID = req.CorrID
 	env.Size = f.DefaultSize
@@ -459,6 +473,11 @@ func (b *Broker) reply(req *Envelope, result any, err error) {
 // timer never allocates. At release time no event references the call:
 // completion cancels the timeout, and a completed call never has a backoff
 // retry pending (retries are only scheduled when no completion can race).
+// Requests and replies point at their call; a reply completes it only if it
+// carries the call's current correlation ID. IDs are never reused, every
+// attempt takes a new one before its request leaves, and release zeroes it,
+// so a late reply to an earlier attempt, or to a call since recycled, is
+// dropped.
 type pendingCall struct {
 	cb      func(any, error)
 	timer   sim.Event
@@ -497,10 +516,7 @@ func (f *Fabric) releasePC(pc *pendingCall) {
 	f.pcFree = pc
 }
 
-func (pc *pendingCall) onTimeout(any) {
-	delete(pc.caller.pending, pc.corr)
-	pc.attempt(pc.n + 1)
-}
+func (pc *pendingCall) onTimeout(any) { pc.attempt(pc.n + 1) }
 
 func (pc *pendingCall) onRetry(any) { pc.attempt(pc.n + 1) }
 
@@ -572,18 +588,13 @@ func (f *Fabric) Call(opts CallOpts, cb func(result any, err error)) {
 	}
 	f.rpcCalls.Inc()
 
-	caller := f.Broker(opts.From.Site)
-	if caller.pending == nil {
-		caller.pending = make(map[uint64]*pendingCall)
-	}
-
 	pc := f.acquirePC()
 	pc.cb = cb
 	pc.fabric = f
 	pc.started = f.eng.Now()
 	pc.trace = opts.Trace.TraceID()
 	pc.opts = opts
-	pc.caller = caller
+	pc.caller = f.Broker(opts.From.Site)
 	pc.attempt(0)
 }
 
@@ -606,16 +617,15 @@ func (pc *pendingCall) attempt(n int) {
 	if i := n % (1 + len(pc.opts.Alternates)); i > 0 {
 		target = pc.opts.Alternates[i-1]
 	}
-	corr := f.id()
-	pc.corr = corr
-	pc.caller.pending[corr] = pc
+	pc.corr = f.id()
 	env := f.acquireEnv()
 	env.ID = f.id()
 	env.Kind = KindRequest
 	env.From = pc.opts.From
 	env.To = target
+	env.src, env.dst, env.pc = pc.caller, f.Broker(target.Site), pc
 	env.Method = pc.opts.Method
-	env.CorrID = corr
+	env.CorrID = pc.corr
 	env.Payload = pc.opts.Payload
 	env.Token = pc.opts.Token
 	env.Size = pc.opts.Size
@@ -624,7 +634,6 @@ func (pc *pendingCall) attempt(n int) {
 	if f.send(env) != nil {
 		// Connection refused: move to the next attempt after a short
 		// backoff rather than burning the whole timeout.
-		delete(pc.caller.pending, corr)
 		f.eng.ScheduleArg(pc.opts.Timeout/4+sim.Millisecond, pc.retryFn, nil)
 		return
 	}

@@ -476,3 +476,127 @@ func TestRPCServedAfterDeregister(t *testing.T) {
 		t.Fatalf("request in service across a re-register: %v, %v at %v; want second at 55ms", got[2], errs[2], at[2])
 	}
 }
+
+// A reply to an attempt the caller has given up on is dropped, even while a
+// later attempt of the same call still waits: the call completes once, with
+// the later attempt's reply.
+func TestStaleReplyIgnoredAfterRetry(t *testing.T) {
+	eng, _, f := testFabric(t, netsim.Link{Latency: sim.Millisecond})
+	served := 0
+	f.Broker("anl").Register("svc", func(env *Envelope, respond func(any, error)) {
+		served++
+		// The first request outlives its 100ms timeout: its reply lands at
+		// 121ms, while the retry sent at 100ms waits (its reply lands at 132ms).
+		proc, result := 119*sim.Millisecond, "first"
+		if served > 1 {
+			proc, result = 30*sim.Millisecond, "second"
+		}
+		eng.Schedule(proc, func() { respond(result, nil) })
+	})
+	calls := 0
+	var got any
+	var gotErr error
+	var at sim.Time
+	f.Call(CallOpts{From: addr("ornl", "c"), To: addr("anl", "svc"), Method: "svc",
+		Timeout: 100 * sim.Millisecond, Retries: 1},
+		func(r any, err error) { calls, got, gotErr, at = calls+1, r, err, eng.Now() })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 1 || gotErr != nil || got != "second" || at != 132*sim.Millisecond {
+		t.Fatalf("callback ran %d times, last with %v, %v at %v; want once with second at 132ms", calls, got, gotErr, at)
+	}
+	m := f.Metrics()
+	if ok, fail, retries := m.Counter("bus.rpc.ok").Value(), m.Counter("bus.rpc.failures").Value(),
+		m.Counter("bus.rpc.retries").Value(); ok != 1 || fail != 0 || retries != 1 {
+		t.Fatalf("rpc ok %d failures %d retries %d, want 1 0 1", ok, fail, retries)
+	}
+}
+
+// A call that timed out returns its pendingCall to the pool; the next call
+// takes it while the old call's reply is still on the wire. That reply must
+// not complete the new call.
+func TestStaleReplyDoesNotCompleteRecycledCall(t *testing.T) {
+	eng, _, f := testFabric(t, netsim.Link{Latency: sim.Millisecond})
+	b := f.Broker("anl")
+	b.Register("slow", func(_ *Envelope, respond func(any, error)) {
+		eng.Schedule(50*sim.Millisecond, func() { respond("slow", nil) }) // reply lands at 52ms
+	})
+	b.Register("fast", func(_ *Envelope, respond func(any, error)) {
+		eng.Schedule(40*sim.Millisecond, func() { respond("fast", nil) }) // reply lands at 63ms
+	})
+	var aCalls, bCalls int
+	var aErr, bErr error
+	var bGot any
+	var bAt sim.Time
+	f.Call(CallOpts{From: addr("ornl", "c"), To: addr("anl", "slow"), Method: "slow", Timeout: 20 * sim.Millisecond},
+		func(_ any, err error) {
+			aCalls, aErr = aCalls+1, err
+			// Issued at 21ms from the timed-out call's callback.
+			eng.Schedule(sim.Millisecond, func() {
+				recycled := f.pcFree
+				f.Call(CallOpts{From: addr("ornl", "c"), To: addr("anl", "fast"), Method: "fast", Timeout: sim.Second},
+					func(r any, err error) { bCalls, bGot, bErr, bAt = bCalls+1, r, err, eng.Now() })
+				if recycled == nil || f.pcFree == recycled {
+					t.Error("the second call did not reuse the first call's pendingCall")
+				}
+			})
+		})
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if aCalls != 1 || !errors.Is(aErr, ErrTimeout) {
+		t.Fatalf("first call: %d callbacks, last %v; want one ErrTimeout", aCalls, aErr)
+	}
+	if bCalls != 1 || bErr != nil || bGot != "fast" || bAt != 63*sim.Millisecond {
+		t.Fatalf("second call: %d callbacks, last %v, %v at %v; want one fast at 63ms", bCalls, bGot, bErr, bAt)
+	}
+}
+
+// An ack that arrives after its attempt was redelivered settles nothing: the
+// redelivery's timer keeps running. Every ack below is late until the link
+// speeds up at 42ms, so attempts go out at 0, 15, 30 and 45ms and only the
+// fourth is acknowledged.
+func TestLateAckAfterRedelivery(t *testing.T) {
+	eng, net, f := testFabric(t, netsim.Link{Latency: 10 * sim.Millisecond})
+	var seen []sim.Time
+	f.Subscribe(addr("anl", "sub"), "t", AtLeastOnce, func(*Envelope) { seen = append(seen, eng.Now()) })
+	f.Publish(PublishOpts{From: addr("ornl", "pub"), Topic: "t", Payload: "x",
+		QoS: AtLeastOnce, AckTimeout: 15 * sim.Millisecond, MaxAttempts: 8})
+	eng.Schedule(42*sim.Millisecond, func() { net.LinkBetween("ornl", "anl").Latency = sim.Millisecond })
+	if err := eng.Run(); err != nil {
+		t.Fatal(err)
+	}
+	want := []sim.Time{10 * sim.Millisecond, 25 * sim.Millisecond, 40 * sim.Millisecond, 46 * sim.Millisecond}
+	if fmt.Sprint(seen) != fmt.Sprint(want) {
+		t.Fatalf("deliveries at %v, want %v", seen, want)
+	}
+	m := f.Metrics()
+	if acked, redelivered, dlq := m.Counter("bus.pub.acked").Value(), m.Counter("bus.pub.redelivered").Value(),
+		m.Counter("bus.pub.dlq").Value(); acked != 1 || redelivered != 3 || dlq != 0 {
+		t.Fatalf("acked %d redelivered %d dlq %d, want 1 3 0", acked, redelivered, dlq)
+	}
+}
+
+// A warm at-least-once publish to two subscribers, their deliveries and
+// both acks allocate nothing.
+func TestPublishAckAllocatesNothing(t *testing.T) {
+	eng, _, f := testFabric(t, netsim.Link{Latency: sim.Millisecond})
+	got := 0
+	f.Subscribe(addr("anl", "sub"), "t", AtLeastOnce, func(*Envelope) { got++ })
+	f.Subscribe(addr("slac", "sub"), "t", AtLeastOnce, func(*Envelope) { got++ })
+	opts := PublishOpts{From: addr("ornl", "pub"), Topic: "t", Payload: "x", QoS: AtLeastOnce}
+	publish := func() {
+		f.Publish(opts)
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	publish() // warm the envelope, publish and event pools
+	if avg := testing.AllocsPerRun(100, publish); avg != 0 {
+		t.Fatalf("a publish to two subscribers with acks allocates %v times, want 0", avg)
+	}
+	if acked := f.Metrics().Counter("bus.pub.acked").Value(); got != 2*102 || acked != 2*102 {
+		t.Fatalf("delivered %d, acked %d, want %d each", got, acked, 2*102)
+	}
+}

@@ -12,7 +12,7 @@ func (f *Fabric) Subscribe(addr Address, topic string, qos QoS, fn func(*Envelop
 	b := f.Broker(addr.Site)
 	b.subs[topic] = append(b.subs[topic], subscription{addr: addr, qos: qos, fn: fn})
 	f.subscribers(topic) // touch global index
-	f.topicSubs[topic] = append(f.topicSubs[topic], subscriberRef{addr: addr, qos: qos})
+	f.topicSubs[topic] = append(f.topicSubs[topic], subscriberRef{addr: addr, qos: qos, b: b})
 }
 
 // Unsubscribe removes every subscription of addr on topic.
@@ -37,6 +37,7 @@ func (f *Fabric) Unsubscribe(addr Address, topic string) {
 type subscriberRef struct {
 	addr Address
 	qos  QoS
+	b    *Broker // addr's broker
 }
 
 func (f *Fabric) subscribers(topic string) []subscriberRef {
@@ -71,18 +72,23 @@ func (f *Fabric) Publish(opts PublishOpts) {
 		opts.MaxAttempts = 4
 	}
 	f.pubPublished.Inc()
+	src := f.Broker(opts.From.Site)
 	for _, ref := range f.subscribers(opts.Topic) {
-		f.deliverEvent(opts, ref, 1)
+		f.deliverEvent(&opts, src, ref)
 	}
 }
 
-// pendingPub tracks one unacknowledged at-least-once delivery. It holds
+// pendingPub tracks one at-least-once delivery across its attempts. It holds
 // everything needed to redeliver or dead-letter without retaining the sent
-// envelope, which the subscriber's broker recycles on delivery. Pooled;
-// fireFn is the redelivery-timer method bound once at allocation.
+// envelope, which the subscriber's broker recycles on delivery. Events and
+// their acks point at it; an ack settles it only if it carries the current
+// attempt's correlation ID (see pendingCall), so a late ack to an earlier
+// attempt, or to a delivery since recycled, is not counted. Pooled; fireFn
+// is the redelivery-timer method bound once at allocation.
 type pendingPub struct {
 	f       *Fabric
 	opts    PublishOpts
+	src     *Broker
 	ref     subscriberRef
 	attempt int
 	corr    uint64 // the attempt's envelope ID doubles as correlation ID
@@ -114,7 +120,6 @@ func (f *Fabric) releasePub(p *pendingPub) {
 // publish state — field-for-field identical to the one that went unacked.
 func (p *pendingPub) fire(any) {
 	f := p.f
-	delete(f.awaitingAck, p.corr)
 	if p.attempt >= p.opts.MaxAttempts {
 		f.pubDLQ.Inc()
 		f.deadLetters = append(f.deadLetters, &Envelope{
@@ -134,40 +139,48 @@ func (p *pendingPub) fire(any) {
 		return
 	}
 	f.pubRedelivered.Inc()
-	opts, ref, attempt := p.opts, p.ref, p.attempt
-	f.releasePub(p)
-	f.deliverEvent(opts, ref, attempt+1)
+	p.send(p.attempt + 1)
 }
 
-func (f *Fabric) deliverEvent(opts PublishOpts, ref subscriberRef, attempt int) {
+// deliverEvent sends the first attempt of one publish to one subscriber.
+func (f *Fabric) deliverEvent(opts *PublishOpts, src *Broker, ref subscriberRef) {
+	if ref.qos == AtMostOnce {
+		_ = f.send(f.eventEnv(opts, src, &ref, 1))
+		f.pubSent.Inc()
+		return
+	}
+	// AtLeastOnce: remember the delivery and arm the redelivery timer.
+	p := f.acquirePub()
+	p.opts, p.src, p.ref = *opts, src, ref
+	p.send(1)
+}
+
+// send delivers the given attempt and arms its redelivery timer.
+func (p *pendingPub) send(attempt int) {
+	f := p.f
+	env := f.eventEnv(&p.opts, p.src, &p.ref, attempt)
+	f.pubSent.Inc()
+	env.CorrID = env.ID
+	env.pub = p
+	p.attempt, p.corr = attempt, env.ID
+	_ = f.send(env)
+	p.timer = f.eng.ScheduleArg(p.opts.AckTimeout, p.fireFn, nil)
+}
+
+func (f *Fabric) eventEnv(opts *PublishOpts, src *Broker, ref *subscriberRef, attempt int) *Envelope {
 	env := f.acquireEnv()
 	env.ID = f.id()
 	env.Kind = KindEvent
 	env.From = opts.From
 	env.To = ref.addr
+	env.src, env.dst = src, ref.b
 	env.Topic = opts.Topic
 	env.Payload = opts.Payload
 	env.Token = opts.Token
 	env.Size = opts.Size
 	env.Attempt = attempt
 	env.Trace = opts.Trace
-	if ref.qos == AtMostOnce {
-		_ = f.send(env)
-		f.pubSent.Inc()
-		return
-	}
-	// AtLeastOnce: remember the delivery and arm the redelivery timer.
-	if f.awaitingAck == nil {
-		f.awaitingAck = make(map[uint64]*pendingPub)
-	}
-	f.pubSent.Inc()
-	corr := env.ID
-	env.CorrID = corr
-	_ = f.send(env)
-	p := f.acquirePub()
-	p.opts, p.ref, p.attempt, p.corr = opts, ref, attempt, corr
-	p.timer = f.eng.ScheduleArg(opts.AckTimeout, p.fireFn, nil)
-	f.awaitingAck[corr] = p
+	return env
 }
 
 // sendAck confirms an at-least-once event back to the publishing fabric.
@@ -180,6 +193,7 @@ func (b *Broker) sendAck(env *Envelope) {
 	ack.Kind = KindAck
 	ack.From = env.To
 	ack.To = env.From
+	ack.src, ack.dst, ack.pub = b, env.src, env.pub
 	ack.CorrID = env.CorrID
 	ack.Size = 64
 	_ = f.send(ack)
@@ -189,9 +203,8 @@ func (b *Broker) handleAck(env *Envelope) {
 	f := b.fabric
 	switch env.Kind {
 	case KindAck:
-		if p, ok := f.awaitingAck[env.CorrID]; ok {
+		if p := env.pub; p != nil && p.corr == env.CorrID {
 			f.eng.Cancel(p.timer)
-			delete(f.awaitingAck, env.CorrID)
 			f.releasePub(p)
 			f.pubAcked.Inc()
 			return

@@ -100,6 +100,8 @@ func (f *Fabric) Enqueue(from Address, queueSite Address, queueName string, payl
 		Payload: payload,
 		Size:    size,
 		CorrID:  f.id(),
+		src:     f.Broker(from.Site),
+		dst:     b,
 	}
 	f.metrics.Counter("bus.queue.enqueued").Inc()
 	// Producer -> host broker hop: fail fast on hard unreachability, retry
@@ -144,6 +146,7 @@ func (b *Broker) handleQueueDelivery(env *Envelope) {
 		conf := &Envelope{
 			ID: b.fabric.id(), Kind: KindAck,
 			From: env.To, To: env.From, CorrID: env.CorrID, Size: 64,
+			src: b, dst: env.src,
 		}
 		_ = b.fabric.send(conf)
 		if b.seenPublish == nil {
@@ -175,6 +178,8 @@ func (b *Broker) handleQueueDelivery(env *Envelope) {
 		Topic:  env.Topic,
 		CorrID: env.CorrID,
 		Size:   64,
+		src:    b,
+		dst:    env.src,
 	}
 	if err != nil {
 		ack.Kind = KindNack
@@ -233,6 +238,7 @@ func (q *Queue) dispatch(env *Envelope, attempt int) {
 	}
 	// Ensure the consumer-side broker can find fn.
 	cb := f.Broker(c.addr.Site)
+	d.src, d.dst = q.broker, cb
 	if cb.consumerFns == nil {
 		cb.consumerFns = make(map[consumerKey]func(*Envelope) error)
 	}

@@ -95,15 +95,28 @@ type Site struct {
 	Firewall *Firewall
 	// LANLatency is the intra-site delivery delay (loopback messages).
 	LANLatency sim.Time
+
+	// idx is the site's dense index in its network; peers holds the link to
+	// each other site by that site's index (nil: not connected). Connect
+	// grows the two rows it touches, so adding a site reallocates nothing.
+	idx   int
+	peers []*Link
 }
 
-type linkKey struct{ a, b SiteID }
-
-func keyFor(a, b SiteID) (linkKey, int) {
-	if a <= b {
-		return linkKey{a, b}, 0
+// linkTo returns the link joining s and o, or nil.
+func (s *Site) linkTo(o *Site) *Link {
+	if o.idx < len(s.peers) {
+		return s.peers[o.idx]
 	}
-	return linkKey{b, a}, 1
+	return nil
+}
+
+// setPeer files l in s's row under o's index.
+func (s *Site) setPeer(o *Site, l *Link) {
+	if o.idx >= len(s.peers) {
+		s.peers = append(s.peers, make([]*Link, o.idx+1-len(s.peers))...)
+	}
+	s.peers[o.idx] = l
 }
 
 // Network is the federation-wide WAN model. Create with New, add sites and
@@ -112,7 +125,6 @@ type Network struct {
 	eng     *sim.Engine
 	rnd     *rng.Stream
 	sites   map[SiteID]*Site
-	links   map[linkKey]*Link
 	metrics *telemetry.Registry
 	prof    *prof.Profiler
 
@@ -149,7 +161,6 @@ func New(eng *sim.Engine, rnd *rng.Stream) *Network {
 		eng:     eng,
 		rnd:     rnd.Fork("netsim"),
 		sites:   make(map[SiteID]*Site),
-		links:   make(map[linkKey]*Link),
 		metrics: telemetry.NewRegistry(),
 	}
 	n.sentC = n.metrics.Counter("net.sent")
@@ -168,9 +179,10 @@ func New(eng *sim.Engine, rnd *rng.Stream) *Network {
 // back to the network's freelist when delivery completes, making the
 // send→deliver cycle allocation-free in steady state.
 type transit struct {
-	msg     Message
-	deliver func(Message)
-	next    *transit
+	msg      Message
+	src, dst *Site
+	deliver  func(Message)
+	next     *transit
 }
 
 func (n *Network) acquireTransit() *transit {
@@ -184,9 +196,7 @@ func (n *Network) acquireTransit() *transit {
 }
 
 func (n *Network) releaseTransit(t *transit) {
-	t.msg = Message{}
-	t.deliver = nil
-	t.next = n.free
+	*t = transit{next: n.free}
 	n.free = t
 }
 
@@ -208,7 +218,7 @@ func (n *Network) AddSite(id SiteID) *Site {
 	if _, ok := n.sites[id]; ok {
 		panic(fmt.Sprintf("netsim: duplicate site %q", id))
 	}
-	s := &Site{ID: id, Firewall: &Firewall{}, LANLatency: 200 * sim.Microsecond}
+	s := &Site{ID: id, Firewall: &Firewall{}, LANLatency: 200 * sim.Microsecond, idx: len(n.sites)}
 	n.sites[id] = s
 	return s
 }
@@ -228,26 +238,31 @@ func (n *Network) Sites() []SiteID {
 
 // Connect joins two sites with a link. Reconnecting replaces the link.
 func (n *Network) Connect(a, b SiteID, l Link) *Link {
-	if _, ok := n.sites[a]; !ok {
+	sa, ok := n.sites[a]
+	if !ok {
 		panic(fmt.Sprintf("netsim: connect unknown site %q", a))
 	}
-	if _, ok := n.sites[b]; !ok {
+	sb, ok := n.sites[b]
+	if !ok {
 		panic(fmt.Sprintf("netsim: connect unknown site %q", b))
 	}
 	if a == b {
 		panic("netsim: self-link")
 	}
 	l.up = true
-	k, _ := keyFor(a, b)
 	lp := &l
-	n.links[k] = lp
+	sa.setPeer(sb, lp)
+	sb.setPeer(sa, lp)
 	return lp
 }
 
 // LinkBetween returns the link joining a and b, or nil.
 func (n *Network) LinkBetween(a, b SiteID) *Link {
-	k, _ := keyFor(a, b)
-	return n.links[k]
+	sa, sb := n.sites[a], n.sites[b]
+	if sa == nil || sb == nil {
+		return nil
+	}
+	return sa.linkTo(sb)
 }
 
 // SetLinkUp injects a link failure (up=false) or repair (up=true).
@@ -293,13 +308,20 @@ type Message struct {
 // is accepted and then dropped, exactly as a WAN behaves — callers recover
 // with timeouts and retries.
 func (n *Network) Send(msg Message, deliver func(Message)) error {
+	return n.SendSites(n.sites[msg.From], n.sites[msg.To], &msg, deliver)
+}
+
+// SendSites is Send for a sender that has already resolved msg.From and
+// msg.To to this network's sites of those names (nil for a site it does not
+// know). It is the one admission path: msg is copied once, into the pooled
+// transit.
+func (n *Network) SendSites(src, dst *Site, msg *Message, deliver func(Message)) error {
 	r := n.prof.Enter(prof.SiteNetSend)
 	defer r.End()
-	if _, ok := n.sites[msg.From]; !ok {
+	if src == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSite, msg.From)
 	}
-	dst, ok := n.sites[msg.To]
-	if !ok {
+	if dst == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSite, msg.To)
 	}
 
@@ -307,9 +329,9 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 	n.bytesC.Add(int64(msg.Size))
 
 	// Loopback: LAN latency only, no firewall (intra-site traffic).
-	if msg.From == msg.To {
-		n.recordHop(&msg, dst.LANLatency)
-		n.scheduleArrival(dst.LANLatency, msg, deliver)
+	if src == dst {
+		n.recordHop(msg, dst.LANLatency)
+		n.scheduleArrival(dst.LANLatency, src, dst, msg, deliver)
 		n.deliveredC.Inc()
 		return nil
 	}
@@ -319,10 +341,14 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 		return fmt.Errorf("%w: %s -> %s service %q", ErrFirewall, msg.From, msg.To, msg.Service)
 	}
 
-	k, dir := keyFor(msg.From, msg.To)
-	link := n.links[k]
+	link := src.linkTo(dst)
 	if link == nil {
 		return fmt.Errorf("%w: %s <-> %s", ErrNoRoute, msg.From, msg.To)
+	}
+	// Each direction has its own slot; slot 1 carries From > To.
+	dir := 0
+	if msg.From > msg.To {
+		dir = 1
 	}
 	if !link.up {
 		n.linkDownC.Inc()
@@ -343,17 +369,18 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 
 	delay := n.transferDelay(link, dir, msg.Size)
 	n.delayH.Observe(delay.Seconds())
-	n.recordHop(&msg, delay)
-	n.scheduleArrival(delay, msg, deliver)
+	n.recordHop(msg, delay)
+	n.scheduleArrival(delay, src, dst, msg, deliver)
 	n.deliveredC.Inc()
 	return nil
 }
 
-// scheduleArrival books the arrival event, carrying the message in a
-// pooled transit released at delivery.
-func (n *Network) scheduleArrival(delay sim.Time, msg Message, deliver func(Message)) {
+// scheduleArrival books the arrival event, carrying the message and its
+// sites in a pooled transit released at delivery.
+func (n *Network) scheduleArrival(delay sim.Time, src, dst *Site, msg *Message, deliver func(Message)) {
 	t := n.acquireTransit()
-	t.msg = msg
+	t.msg = *msg
+	t.src, t.dst = src, dst
 	t.deliver = deliver
 	n.eng.ScheduleArg(delay, n.arriveFn, t)
 }
@@ -365,20 +392,19 @@ func (n *Network) scheduleArrival(delay sim.Time, msg Message, deliver func(Mess
 // does synchronously) finishes.
 func (n *Network) arriveTransit(x any) {
 	t := x.(*transit)
-	msg, deliver := t.msg, t.deliver
-	n.releaseTransit(t)
 	r := n.prof.Enter(prof.SiteNetDeliver)
 	defer r.End()
-	if n.DropInFlight && msg.From != msg.To {
-		if l := n.LinkBetween(msg.From, msg.To); l == nil || !l.up {
+	defer n.releaseTransit(t)
+	if n.DropInFlight && t.src != t.dst {
+		if l := t.src.linkTo(t.dst); l == nil || !l.up {
 			n.inflightC.Inc()
 			return
 		}
 	}
 	if n.DeliverHook != nil {
-		n.DeliverHook(msg)
+		n.DeliverHook(t.msg)
 	}
-	deliver(msg)
+	t.deliver(t.msg)
 }
 
 // recordHop records one admitted hop as a net.deliver span under the

@@ -99,14 +99,17 @@ func bucketFor(v float64) int {
 	if v <= 0 {
 		return 0
 	}
-	idx := int((math.Log10(v) - histMinExp) * histBucketsPerDec)
-	if idx < 0 {
-		idx = 0
+	// Clamp before converting: an out-of-range float (+Inf's logarithm)
+	// converts to an implementation-defined int.
+	x := (math.Log10(v) - histMinExp) * histBucketsPerDec
+	last := len((&Histogram{}).buckets) - 1
+	if !(x >= 0) { // also NaN
+		return 0
 	}
-	if idx >= len((&Histogram{}).buckets) {
-		idx = len((&Histogram{}).buckets) - 1
+	if x >= float64(last) {
+		return last
 	}
-	return idx
+	return int(x)
 }
 
 func bucketUpper(i int) float64 {

@@ -78,6 +78,26 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
+// Values past the top bucket's floor, +Inf included, land in the top
+// bucket; zero and negatives in the bottom one.
+func TestBucketForEdges(t *testing.T) {
+	last := len((&Histogram{}).buckets) - 1
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{{math.Inf(1), last}, {math.MaxFloat64, last}, {1, 90}, {0, 0}} {
+		if got := bucketFor(c.v); got != c.want {
+			t.Errorf("bucketFor(%v) = %d, want %d", c.v, got, c.want)
+		}
+	}
+	h := &Histogram{}
+	h.Observe(1)
+	h.Observe(math.Inf(1))
+	if p99 := h.Quantile(0.99); p99 < 1e12 {
+		t.Fatalf("p99 of {1, +Inf} = %v, want the top bucket", p99)
+	}
+}
+
 func TestHistogramQuantileConservative(t *testing.T) {
 	// Quantile estimates must never under-report the order statistic they
 	// bucket: estimate >= the ceil(q*n)-th smallest observation's bucket
