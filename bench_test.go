@@ -1,4 +1,4 @@
-// Benchmarks regenerating every experiment in the suite (DESIGN.md §3):
+// Benchmarks regenerating every experiment in the suite (README §"Tests, benchmarks, experiments"):
 // one benchmark per table/figure-equivalent claim. Each iteration runs the
 // experiment end to end in Quick mode — go test -bench reports wall time
 // per full regeneration, and -benchmem the allocation footprint of the

@@ -168,9 +168,9 @@ func runGPBench(outPath string, includeMacro bool) error {
 }
 
 // gpBaseline is the frozen full-refit measurement set the incremental
-// engine is compared against in EXPERIMENTS.md. The macro rows only
-// exist when -macro recorded them, so only the micro rows are pinned
-// here plus the macro rows the original artifact captured.
+// engine is compared against (README §"Tests, benchmarks, experiments").
+// The macro rows only exist when -macro recorded them, so only the micro
+// rows are pinned here plus the macro rows the original artifact captured.
 func gpBaseline() map[string]benchResult {
 	return map[string]benchResult{
 		"GPFit":            {NsPerOp: 3946232, BytesPerOp: 821745, AllocsPerOp: 517},

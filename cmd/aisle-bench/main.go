@@ -1,5 +1,5 @@
 // Command aisle-bench regenerates the experiment tables that reproduce the
-// AISLE paper's milestone claims (see DESIGN.md for the experiment index).
+// AISLE paper's milestone claims (see README §"Tests, benchmarks, experiments").
 //
 // Usage:
 //
@@ -8,7 +8,7 @@
 //	aisle-bench -diff old.json new.json
 //
 // With no IDs, every experiment runs in order. Results print as aligned
-// text tables, one per claim, matching EXPERIMENTS.md.
+// text tables, one per claim, as in README §"Tests, benchmarks, experiments".
 //
 // The recorder flags regenerate the checked-in BENCH_*.json artifacts,
 // all under the unified aisle/bench/v2 schema (internal/bench). -diff

@@ -337,7 +337,12 @@ func (b *Broker) Endpoints() []string {
 // those stay live until the handler responds and reply consumes them.
 func (b *Broker) deliver(env *Envelope) {
 	r := b.fabric.prof.Enter(prof.SiteBusDispatch)
-	defer r.End()
+	b.dispatch(env)
+	r.End()
+}
+
+// dispatch is deliver inside its bus.dispatch region.
+func (b *Broker) dispatch(env *Envelope) {
 	f := b.fabric
 	f.delivered.Inc()
 	for _, mw := range f.mw {

@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"fmt"
-	"sync"
 
 	"github.com/aisle-sim/aisle/internal/bus"
 	"github.com/aisle-sim/aisle/internal/knowledge"
@@ -25,24 +24,22 @@ import (
 //   - Quarantined insights never seed an optimizer: CheckKnowledge re-vets
 //     every merged observation a base would feed to Observations.
 //
-// The mutex exists for harnesses inspecting a checker across goroutines
-// (and the -race CI lane); inside a simulation all hooks run on the single
-// sim goroutine.
+// All hooks run on the simulation's goroutine, so the checker takes no
+// locks; read it between engine steps.
 type Checker struct {
-	mu         sync.Mutex
 	terminals  map[string]int
 	order      []string
 	violations []string
 
 	// OnViolation, when non-nil, fires synchronously for each violation as
 	// it is recorded — the health engine uses it to trip a flight-recorder
-	// snapshot at the instant an invariant breaks. The callback runs with
-	// the checker's lock held and must not call back into the checker.
+	// snapshot at the instant an invariant breaks. The callback must not
+	// call back into the checker.
 	OnViolation func(msg string)
 }
 
-// violateLocked appends a violation and fires the hook; callers hold c.mu.
-func (c *Checker) violateLocked(msg string) {
+// violate appends a violation and fires the hook.
+func (c *Checker) violate(msg string) {
 	c.violations = append(c.violations, msg)
 	if c.OnViolation != nil {
 		c.OnViolation(msg)
@@ -56,10 +53,8 @@ func NewChecker() *Checker {
 
 // Submitted registers a job that must reach exactly one terminal outcome.
 func (c *Checker) Submitted(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if _, dup := c.terminals[id]; dup {
-		c.violateLocked(fmt.Sprintf("job %s submitted twice", id))
+		c.violate(fmt.Sprintf("job %s submitted twice", id))
 		return
 	}
 	c.terminals[id] = 0
@@ -69,15 +64,13 @@ func (c *Checker) Submitted(id string) {
 // Terminal records one terminal callback (completion or terminal error) for
 // a submitted job. A second terminal for the same job is a violation.
 func (c *Checker) Terminal(id string, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	n, ok := c.terminals[id]
 	if !ok {
-		c.violateLocked(fmt.Sprintf("terminal for unknown job %s", id))
+		c.violate(fmt.Sprintf("terminal for unknown job %s", id))
 		return
 	}
 	if n >= 1 {
-		c.violateLocked(fmt.Sprintf("job %s reached %d terminal callbacks", id, n+1))
+		c.violate(fmt.Sprintf("job %s reached %d terminal callbacks", id, n+1))
 	}
 	c.terminals[id] = n + 1
 }
@@ -92,10 +85,8 @@ func (c *Checker) WatchNet(n *netsim.Network) {
 			return
 		}
 		if l := n.LinkBetween(msg.From, msg.To); l == nil || !l.Up() {
-			c.mu.Lock()
-			c.violateLocked(fmt.Sprintf(
+			c.violate(fmt.Sprintf(
 				"message %s->%s (%s) delivered across a down link", msg.From, msg.To, msg.Service))
-			c.mu.Unlock()
 		}
 	}
 }
@@ -113,11 +104,9 @@ func (c *Checker) BusTap(fed *security.Federation) bus.Middleware {
 		}
 		tok, _ := env.Token.(*security.Token)
 		if err := fed.Verify(env.To.Site, tok); err != nil {
-			c.mu.Lock()
-			c.violateLocked(fmt.Sprintf(
+			c.violate(fmt.Sprintf(
 				"unauthenticated knowledge publish admitted at %s from %s: %v",
 				env.To.Site, env.From.Site, err))
-			c.mu.Unlock()
 		}
 		return nil
 	}
@@ -143,11 +132,9 @@ func (c *Checker) CheckKnowledge(fed *knowledge.Federation, sites []netsim.SiteI
 					bad = bound.Space.Validate(points[i]) != nil
 				}
 				if bad {
-					c.mu.Lock()
-					c.violateLocked(fmt.Sprintf(
+					c.violate(fmt.Sprintf(
 						"site %s holds out-of-bounds %s observation (value %g) visible to optimizers",
 						site, domain, v))
-					c.mu.Unlock()
 				}
 			}
 		}
@@ -157,13 +144,11 @@ func (c *Checker) CheckKnowledge(fed *knowledge.Federation, sites []netsim.SiteI
 // Check finalizes the terminal-callback audit: every submitted job must
 // have reached exactly one terminal by now. It returns all violations.
 func (c *Checker) Check() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	for _, id := range c.order {
 		// Extra terminals were flagged as they happened; the audit adds the
 		// jobs that never reached one.
 		if c.terminals[id] == 0 {
-			c.violateLocked(fmt.Sprintf(
+			c.violate(fmt.Sprintf(
 				"job %s reached 0 terminal callbacks (want 1)", id))
 		}
 	}
@@ -173,7 +158,5 @@ func (c *Checker) Check() []string {
 // Violations returns the violations recorded so far without the final
 // terminal audit.
 func (c *Checker) Violations() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return append([]string(nil), c.violations...)
 }

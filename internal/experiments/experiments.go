@@ -1,10 +1,11 @@
 // Package experiments regenerates the paper's quantitative claims. The
 // AISLE paper is a roadmap without an evaluation section, so the experiment
-// suite treats every numbered milestone claim (see DESIGN.md §3) as a
-// table to reproduce: E1/E2 for M8, E3 for M9, E4 for the fluidic-SDL
-// efficiency claim, E5 for the decades-to-months framing, E6/E7 for
-// M10-M11, E8-E10 for M5-M7, E11 for M12, E12 for the Smart Dope search
-// space, E13 for M2/M3 fault tolerance, and E14 for M13/M14.
+// suite treats every numbered milestone claim (see README §"Tests,
+// benchmarks, experiments") as a table to reproduce: E1/E2 for M8, E3 for
+// M9, E4 for the fluidic-SDL efficiency claim, E5 for the
+// decades-to-months framing, E6/E7 for M10-M11, E8-E10 for M5-M7, E11 for
+// M12, E12 for the Smart Dope search space, E13 for M2/M3 fault
+// tolerance, and E14 for M13/M14.
 //
 // Every experiment accepts Options and returns telemetry tables; replicas
 // run in parallel across a bounded worker pool, each on its own simulation

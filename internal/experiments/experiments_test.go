@@ -101,7 +101,7 @@ func TestE3ReductionShape(t *testing.T) {
 	tb := runOne(t, "E3")[0]
 	// Quick mode runs only 2 replicas, so the reduction estimate is noisy;
 	// the CI shape check asserts direction and a loose floor. The full run
-	// (EXPERIMENTS.md) shows ~46% against the paper's >30% target.
+	// (README §"Tests, benchmarks, experiments") shows ~46% against the paper's >30% target.
 	red := percent(t, strings.TrimSuffix(tb.Rows[2][1], "%")+"%")
 	if red < 10 {
 		t.Fatalf("experiment reduction %v%% too small (paper: >30%% at full scale)", red)

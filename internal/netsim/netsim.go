@@ -317,7 +317,13 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 // transit.
 func (n *Network) SendSites(src, dst *Site, msg *Message, deliver func(Message)) error {
 	r := n.prof.Enter(prof.SiteNetSend)
-	defer r.End()
+	err := n.admit(src, dst, msg, deliver)
+	r.End()
+	return err
+}
+
+// admit is SendSites inside its net.send region.
+func (n *Network) admit(src, dst *Site, msg *Message, deliver func(Message)) error {
 	if src == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSite, msg.From)
 	}
@@ -393,8 +399,13 @@ func (n *Network) scheduleArrival(delay sim.Time, src, dst *Site, msg *Message, 
 func (n *Network) arriveTransit(x any) {
 	t := x.(*transit)
 	r := n.prof.Enter(prof.SiteNetDeliver)
-	defer r.End()
-	defer n.releaseTransit(t)
+	n.arrive(t)
+	n.releaseTransit(t)
+	r.End()
+}
+
+// arrive lands one transit: the in-flight drop check, then delivery.
+func (n *Network) arrive(t *transit) {
 	if n.DropInFlight && t.src != t.dst {
 		if l := t.src.linkTo(t.dst); l == nil || !l.up {
 			n.inflightC.Inc()

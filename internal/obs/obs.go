@@ -35,7 +35,6 @@ package obs
 import (
 	"encoding/json"
 	"io"
-	"sync"
 
 	"github.com/aisle-sim/aisle/internal/prof"
 	"github.com/aisle-sim/aisle/internal/sched"
@@ -88,14 +87,12 @@ func (o *Options) defaults() {
 }
 
 // Engine is the assembled health engine. A nil *Engine is valid and
-// always-off; the mutex exists for harnesses inspecting the engine from
-// another goroutine (and the -race lane) — within a simulation every hook
-// runs on the single sim goroutine.
+// always-off. Every hook runs on the simulation's goroutine, so the engine
+// takes no locks; read it between engine steps.
 type Engine struct {
 	eng  *sim.Engine
 	opts Options
 
-	mu      sync.Mutex
 	regs    []watchedReg
 	tracer  *trace.Tracer
 	prof    *prof.Profiler
@@ -148,9 +145,7 @@ func (e *Engine) AddSLO(s SLO) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.slos = append(e.slos, newSLOState(s, e.opts.SamplePeriod))
-	e.mu.Unlock()
 }
 
 // Watch registers a metric registry under a subsystem name. SLO metric
@@ -161,9 +156,7 @@ func (e *Engine) Watch(name string, reg *telemetry.Registry) {
 	if e == nil || reg == nil {
 		return
 	}
-	e.mu.Lock()
 	e.regs = append(e.regs, watchedReg{name: name, reg: reg})
-	e.mu.Unlock()
 }
 
 // WatchTracer hands the engine the federation tracer, so snapshots can
@@ -172,9 +165,7 @@ func (e *Engine) WatchTracer(t *trace.Tracer) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.tracer = t
-	e.mu.Unlock()
 }
 
 // WatchProfiler hands the engine the spine profiler, so Profile() carries
@@ -184,9 +175,7 @@ func (e *Engine) WatchProfiler(p *prof.Profiler) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.prof = p
-	e.mu.Unlock()
 }
 
 // ExportTo names the registry that receives the engine's derived gauges —
@@ -198,17 +187,15 @@ func (e *Engine) ExportTo(reg *telemetry.Registry) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.derived = reg
 	e.dropG = nil
-	e.mu.Unlock()
 }
 
-// exportTraceDropsLocked publishes the tracer's per-site span-drop counts
+// exportTraceDrops publishes the tracer's per-site span-drop counts
 // as labeled gauges on the export registry. It visits the counts in place
 // (no map per health sample), so gauges are created in site order rather
 // than map order; nothing is created until the first drop.
-func (e *Engine) exportTraceDropsLocked() {
+func (e *Engine) exportTraceDrops() {
 	if e.derived == nil || e.tracer == nil {
 		return
 	}
@@ -250,9 +237,8 @@ func (e *Engine) Sample() {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	now := e.eng.Now()
-	e.exportTraceDropsLocked()
+	e.exportTraceDrops()
 	for _, st := range e.slos {
 		badDelta := st.sample(now, e.regs)
 		if badDelta > 0 {
@@ -263,7 +249,7 @@ func (e *Engine) Sample() {
 		if fired {
 			e.alerts = append(e.alerts, Alert{SLO: st.slo.Name, At: now, Detail: detail})
 			e.rec.add(Entry{At: now, Type: "alert", Event: st.slo.Name, Reason: detail})
-			e.snapshotLocked(now, "alert:"+st.slo.Name, detail)
+			e.snapshot(now, "alert:"+st.slo.Name, detail)
 		}
 		if resolved {
 			for i := len(e.alerts) - 1; i >= 0; i-- {
@@ -275,7 +261,6 @@ func (e *Engine) Sample() {
 			e.rec.add(Entry{At: now, Type: "alert", Event: st.slo.Name, Reason: "resolved"})
 		}
 	}
-	e.mu.Unlock()
 }
 
 // ObserveDecision is the scheduler Observer hook: journal the decision and
@@ -285,7 +270,6 @@ func (e *Engine) ObserveDecision(d sched.Decision) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.rec.add(Entry{
 		At:      d.At,
 		Type:    "sched",
@@ -299,7 +283,6 @@ func (e *Engine) ObserveDecision(d sched.Decision) {
 		Attempt: d.Attempt,
 	})
 	e.link.observe(d)
-	e.mu.Unlock()
 }
 
 // FaultWindow is one applied fault, as the linker sees it. It mirrors
@@ -318,11 +301,9 @@ func (e *Engine) ObserveFault(w FaultWindow) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	e.rec.add(Entry{At: w.Start, Type: "fault", Event: w.Kind, Site: w.Site,
 		End: w.End})
 	e.link.addFault(w)
-	e.mu.Unlock()
 }
 
 // ObserveViolation journals an invariant violation and trips a snapshot.
@@ -331,11 +312,9 @@ func (e *Engine) ObserveViolation(msg string) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
 	now := e.eng.Now()
 	e.rec.add(Entry{At: now, Type: "violation", Reason: msg})
-	e.snapshotLocked(now, "violation", msg)
-	e.mu.Unlock()
+	e.snapshot(now, "violation", msg)
 }
 
 // Snapshot freezes the flight recorder now, under an explicit trigger
@@ -344,13 +323,11 @@ func (e *Engine) Snapshot(trigger string) {
 	if e == nil {
 		return
 	}
-	e.mu.Lock()
-	e.snapshotLocked(e.eng.Now(), trigger, "")
-	e.mu.Unlock()
+	e.snapshot(e.eng.Now(), trigger, "")
 }
 
-func (e *Engine) snapshotLocked(now sim.Time, trigger, detail string) {
-	e.rec.snapshot(now, trigger, detail, e.tracer, e.opts.SnapshotSpans, e.statusesLocked())
+func (e *Engine) snapshot(now sim.Time, trigger, detail string) {
+	e.rec.snapshot(now, trigger, detail, e.tracer, e.opts.SnapshotSpans, e.Statuses())
 }
 
 // Journal returns the flight recorder's current ring contents, oldest
@@ -359,8 +336,6 @@ func (e *Engine) Journal() []Entry {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.rec.tail()
 }
 
@@ -369,8 +344,6 @@ func (e *Engine) Snapshots() []Snapshot {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return append([]Snapshot(nil), e.rec.snaps...)
 }
 
@@ -391,8 +364,6 @@ func (e *Engine) Alerts() []Alert {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return append([]Alert(nil), e.alerts...)
 }
 
@@ -401,8 +372,6 @@ func (e *Engine) Incidents() []Incident {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.link.incidents()
 }
 
@@ -424,8 +393,6 @@ func (e *Engine) Attribution() AttributionStats {
 	if e == nil {
 		return AttributionStats{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return e.link.stats()
 }
 
@@ -434,12 +401,6 @@ func (e *Engine) Statuses() []SLOStatus {
 	if e == nil {
 		return nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.statusesLocked()
-}
-
-func (e *Engine) statusesLocked() []SLOStatus {
 	out := make([]SLOStatus, 0, len(e.slos))
 	for _, st := range e.slos {
 		out = append(out, st.status())
@@ -498,8 +459,6 @@ func (e *Engine) Profile() SpineProfile {
 	if e == nil {
 		return SpineProfile{}
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	p := SpineProfile{
 		SimEvents:       e.eng.Processed(),
 		NetSent:         e.findCounter("net.sent"),

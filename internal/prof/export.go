@@ -67,17 +67,18 @@ func (p *Profiler) Snapshot() *Profile {
 		return nil
 	}
 	out := &Profile{Schema: ProfileSchema, WindowNs: p.windowW, Overflow: p.overflow}
+	count, virt := p.totals()
 	for s := Site(0); s < numSites; s++ {
 		agg := &p.sites[s]
-		if agg.count == 0 && agg.samples == 0 {
+		if count[s] == 0 && agg.samples == 0 {
 			continue
 		}
 		sj := SiteJSON{
 			Site:      s.String(),
 			Subsystem: s.Subsystem(),
-			Count:     agg.count,
+			Count:     count[s],
 			Samples:   agg.samples,
-			VirtualNs: agg.virtual,
+			VirtualNs: virt[s],
 		}
 		for i := range agg.buckets {
 			b := &agg.buckets[i]
@@ -113,35 +114,23 @@ func (p *Profiler) Snapshot() *Profile {
 	return out
 }
 
-// stacks decodes the interned path table, sorted by path string for a
-// stable order.
-func (p *Profiler) stacks() []StackJSON {
-	out := make([]StackJSON, 0, len(p.paths))
-	for key, pa := range p.paths {
-		out = append(out, StackJSON{Stack: decodePath(key), Count: pa.count, VirtualNs: pa.virtual})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Stack < out[j].Stack })
+// paths returns every call-path node, sorted by path string for a stable
+// order.
+func (p *Profiler) paths() []*node {
+	var out []*node
+	p.root.each(func(n *node) { out = append(out, n) })
+	sort.Slice(out, func(i, j int) bool { return out[i].stack < out[j].stack })
 	return out
 }
 
-// decodePath unpacks a path key (one site+1 byte per frame, outermost in
-// the high bits) into "a;b;c".
-func decodePath(key uint64) string {
-	var sites [8]Site
-	n := 0
-	for key != 0 && n < len(sites) {
-		sites[n] = Site(key&0xff - 1)
-		key >>= 8
-		n++
+// stacks lists every path's deterministic weights.
+func (p *Profiler) stacks() []StackJSON {
+	paths := p.paths()
+	out := make([]StackJSON, len(paths))
+	for i, n := range paths {
+		out[i] = StackJSON{Stack: n.stack, Count: n.count, VirtualNs: n.virtual}
 	}
-	s := ""
-	for i := n - 1; i >= 0; i-- {
-		if s != "" {
-			s += ";"
-		}
-		s += sites[i].String()
-	}
-	return s
+	return out
 }
 
 // WriteJSON writes the deterministic profile as indented JSON. Byte-stable:
@@ -173,26 +162,17 @@ const (
 func (p *Profiler) WriteFolded(w io.Writer, weight Weight) error {
 	bw := bufio.NewWriter(w)
 	if p != nil {
-		type line struct {
-			stack string
-			val   uint64
-		}
-		lines := make([]line, 0, len(p.paths))
-		for key, pa := range p.paths {
+		for _, n := range p.paths() {
 			var v uint64
 			switch weight {
 			case WeightVirtual:
-				v = uint64(pa.virtual)
+				v = uint64(n.virtual)
 			case WeightWall:
-				v = uint64(pa.wall)
+				v = uint64(n.estWall())
 			default:
-				v = pa.count
+				v = n.count
 			}
-			lines = append(lines, line{stack: decodePath(key), val: v})
-		}
-		sort.Slice(lines, func(i, j int) bool { return lines[i].stack < lines[j].stack })
-		for _, l := range lines {
-			if _, err := fmt.Fprintf(bw, "%s %d\n", l.stack, l.val); err != nil {
+			if _, err := fmt.Fprintf(bw, "%s %d\n", n.stack, v); err != nil {
 				return err
 			}
 		}
@@ -201,7 +181,11 @@ func (p *Profiler) WriteFolded(w io.Writer, weight Weight) error {
 }
 
 // SiteMeasured is the run-dependent overlay for one call-site: wall time
-// and scaled allocation estimates. Never part of the deterministic profile.
+// and allocation estimates. Never part of the deterministic profile.
+// Top-level wall is exact; nested wall and allocations are measured inside
+// every AllocSampleStride-th top-level tree and scaled by each path's
+// count ÷ measured count. A path's self-wall is its wall estimate less its
+// children's.
 type SiteMeasured struct {
 	Site       string `json:"site"`
 	Subsystem  string `json:"subsystem"`
@@ -212,39 +196,68 @@ type SiteMeasured struct {
 }
 
 // Measured returns the wall/alloc overlay in site order, skipping sites
-// that never fired. Nil on the disabled profiler.
+// that never fired: each site sums the estimates of its paths. Nil on the
+// disabled profiler.
 func (p *Profiler) Measured() []SiteMeasured {
 	if p == nil {
 		return nil
 	}
+	var by [numSites]SiteMeasured
+	var count [numSites]uint64
+	p.root.each(func(n *node) {
+		count[n.site] += n.count
+		m := &by[n.site]
+		wall := n.estWall()
+		self := wall
+		for _, c := range n.child {
+			if c != nil {
+				self -= c.estWall()
+			}
+		}
+		m.WallNs += wall
+		m.SelfWallNs += max(self, 0)
+		m.AllocObjs += scale(n.allocObjs, n.count, n.sampled)
+		m.AllocBytes += scale(n.allocBytes, n.count, n.sampled)
+	})
 	out := make([]SiteMeasured, 0, numSites)
 	for s := Site(0); s < numSites; s++ {
-		if p.sites[s].count == 0 {
+		if count[s] == 0 {
 			continue
 		}
-		m := &p.measured[s]
-		out = append(out, SiteMeasured{
-			Site:       s.String(),
-			Subsystem:  s.Subsystem(),
-			WallNs:     m.wall,
-			SelfWallNs: m.selfWall,
-			AllocObjs:  m.allocObjs,
-			AllocBytes: m.allocBytes,
-		})
+		m := by[s]
+		m.Site, m.Subsystem = s.String(), s.Subsystem()
+		out = append(out, m)
 	}
 	return out
 }
 
-// TotalWallNs is the wall time of all top-level regions — in the wired
-// spine, the sim event loop — i.e. the profiler's coverage numerator.
+// estWall is the path's wall estimate, exact where every entry was timed.
+func (n *node) estWall() int64 { return int64(scale(uint64(n.wall), n.count, n.timed)) }
+
+// scale estimates a sum over count entries from its sum x over the
+// measured of them: x·count/measured, exactly x when every entry was
+// measured and 0 when none was.
+func scale(x, count, measured uint64) uint64 {
+	if measured == 0 {
+		return 0
+	}
+	if measured == count {
+		return x
+	}
+	return uint64(float64(x) * float64(count) / float64(measured))
+}
+
+// TotalWallNs is the exact wall time of all top-level regions — in the
+// wired spine, the sim event loop — i.e. the profiler's coverage
+// numerator.
 func (p *Profiler) TotalWallNs() int64 {
 	if p == nil {
 		return 0
 	}
 	var total int64
-	for key, pa := range p.paths {
-		if key <= 0xff { // depth-1 paths only
-			total += pa.wall
+	for _, n := range p.root.child {
+		if n != nil {
+			total += n.wall
 		}
 	}
 	return total

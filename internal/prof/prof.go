@@ -7,7 +7,8 @@
 // Design rules, in the spirit of internal/trace and internal/obs:
 //
 //   - A nil *Profiler is the disabled profiler. Every method short-circuits
-//     on nil, and the disabled path allocates nothing (guard-tested).
+//     on nil — Enter, End and Sample inline to one pointer test — and the
+//     disabled path allocates nothing (guard-tested).
 //   - The profiler only observes. It never schedules events, draws
 //     randomness, or mutates spine state, so a fixed-seed run's virtual
 //     trajectory is bit-identical with profiling on or off.
@@ -17,6 +18,15 @@
 //     pprof-compatible folded stacks. Wall time and allocation estimates are
 //     inherently run-dependent and live in a separate "measured" overlay
 //     that the deterministic exports never touch.
+//   - The overlay is sampled by region tree. Every top-level region (the
+//     sim event in the wired spine) has its exact wall time; nested wall
+//     and allocations are measured only inside every 64th top-level tree
+//     (Options.AllocSampleStride) and scaled by each path's count ÷
+//     measured count, so a region outside a sampled tree reads no clock.
+//     A path's self-wall is its wall estimate less its children's.
+//   - Region stack paths form a trie: each open frame holds its path node
+//     and a nested region's node is its parent's child at that site, so
+//     entering and leaving a region does no lookup.
 //   - The spine runs on the single sim goroutine; the profiler is not
 //     goroutine-safe and needs no atomics or locks on the hot path.
 //
@@ -26,6 +36,7 @@
 package prof
 
 import (
+	"math/bits"
 	"runtime/metrics"
 	"time"
 )
@@ -109,16 +120,18 @@ type Options struct {
 	Window time.Duration
 	// Windows is the ring capacity (default 32).
 	Windows int
-	// AllocSampleStride measures heap-allocation deltas around every Nth
-	// entry of each site via runtime/metrics, scaling the estimate back up.
-	// 0 uses the default (64); negative disables allocation sampling.
+	// AllocSampleStride is the measured overlay's stride: nested regions
+	// are timed, and heap-allocation deltas read via runtime/metrics, only
+	// inside every Nth top-level region tree, and the estimates are scaled
+	// back up. Top-level regions are always timed. 0 uses the default (64);
+	// negative keeps the default stride and disables allocation reads.
 	AllocSampleStride int
 }
 
 const (
-	defaultWindow      = 5 * time.Minute
-	defaultWindows     = 32
-	defaultAllocStride = 64
+	defaultWindow  = 5 * time.Minute
+	defaultWindows = 32
+	defaultStride  = 64
 	// maxDepth bounds the region stack. The spine nests regions about five
 	// deep (sim.event > bus.dispatch > sched.route > telemetry.record);
 	// overflow is counted and skipped rather than grown.
@@ -135,42 +148,43 @@ type bucket struct {
 	exemplar uint64 // trace ID of the slowest sample in the bucket
 }
 
-// siteAgg accumulates one call-site. Deterministic fields only; the wall
-// and alloc overlay lives in siteMeasured.
+// siteAgg accumulates one call-site's explicit samples. Its region counts
+// and virtual deltas live on the call-path nodes.
 type siteAgg struct {
-	count   uint64 // region entries
-	virtual int64  // region virtual deltas plus explicit samples, ns
 	samples uint64 // explicit Sample calls
+	virtual int64  // their virtual durations, ns
 	buckets [numBuckets]bucket
 }
 
-// siteMeasured is the run-dependent overlay for one call-site.
-type siteMeasured struct {
-	wall       int64 // total wall ns, children included
-	selfWall   int64 // wall ns minus instrumented children
-	allocProbe uint64
-	allocObjs  uint64 // scaled estimate
-	allocBytes uint64 // scaled estimate
+// node is one region stack path in the call-path trie. The root's
+// children are the top-level sites; a region entered at site s inside the
+// region holding node n is counted on n.child[s].
+type node struct {
+	site    Site
+	stack   string // the semicolon-joined site path, outermost first
+	child   [numSites]*node
+	count   uint64 // region entries on this path
+	virtual int64  // their virtual deltas, ns
+
+	// The measured overlay: sums over the entries that were measured, which
+	// the exports scale by count ÷ measured count. Wall is read on every
+	// top-level entry and on nested entries of sampled trees; allocations
+	// only inside sampled trees.
+	timed      uint64 // entries whose wall was read
+	wall       int64
+	sampled    uint64 // entries inside a sampled tree
+	allocObjs  uint64
+	allocBytes uint64
 }
 
 // frame is one open region on the stack.
 type frame struct {
-	site      Site
-	pathKey   uint64
-	startWall int64
-	childWall int64
+	node      *node
 	startVirt int64
+	startWall int64
+	startRead int64 // readWall at entry
 	allocObjs uint64
 	allocByts uint64
-	sampled   bool
-}
-
-// pathAgg accumulates one region stack path for folded output.
-type pathAgg struct {
-	key     uint64
-	count   uint64
-	virtual int64
-	wall    int64
 }
 
 // window is one closed ring window of per-site activity.
@@ -187,8 +201,7 @@ type Profiler struct {
 	clock func() int64 // virtual now in ns; nil until SetClock
 
 	sites    [numSites]siteAgg
-	measured [numSites]siteMeasured
-	paths    map[uint64]*pathAgg
+	root     node // call-path trie; its children are the top-level paths
 	stack    [maxDepth]frame
 	depth    int
 	overflow uint64 // regions skipped at maxDepth
@@ -201,9 +214,16 @@ type Profiler struct {
 	ringLen   int
 	ringHead  int
 
-	// Allocation sampling.
-	allocStride  uint64
-	allocSamples []metrics.Sample
+	// Overlay sampling: trees counts the top-level regions entered, a tree
+	// is sampled when its index is a multiple of stride, and sampled says
+	// whether the open tree is.
+	stride  uint64
+	trees   uint64
+	sampled bool
+	// readWall is the wall time spent reading allocation counters while a
+	// region was open; each region leaves it out of its own wall.
+	readWall     int64
+	allocSamples []metrics.Sample // nil when allocation reads are off
 }
 
 // New returns a profiler, or nil — the disabled profiler — when
@@ -218,19 +238,17 @@ func New(opts Options) *Profiler {
 	if opts.Windows <= 0 {
 		opts.Windows = defaultWindows
 	}
-	stride := opts.AllocSampleStride
-	if stride == 0 {
-		stride = defaultAllocStride
-	}
 	p := &Profiler{
 		epoch:     time.Now(),
-		paths:     make(map[uint64]*pathAgg, 16),
 		windowW:   int64(opts.Window),
 		windowEnd: int64(opts.Window),
 		ring:      make([]window, opts.Windows),
+		stride:    uint64(opts.AllocSampleStride),
 	}
-	if stride > 0 {
-		p.allocStride = uint64(stride)
+	if opts.AllocSampleStride <= 0 {
+		p.stride = defaultStride
+	}
+	if opts.AllocSampleStride >= 0 {
 		p.allocSamples = []metrics.Sample{
 			{Name: "/gc/heap/allocs:objects"},
 			{Name: "/gc/heap/allocs:bytes"},
@@ -261,10 +279,16 @@ type Region struct {
 //
 //	r := p.Enter(prof.SiteBusDispatch)
 //	defer r.End() // or call explicitly on straight-line paths
+//
+// On the disabled profiler Enter inlines to one pointer test.
 func (p *Profiler) Enter(site Site) Region {
 	if p == nil {
 		return Region{}
 	}
+	return p.enter(site)
+}
+
+func (p *Profiler) enter(site Site) Region {
 	if p.depth >= maxDepth {
 		p.overflow++
 		return Region{}
@@ -276,32 +300,53 @@ func (p *Profiler) Enter(site Site) Region {
 			p.roll(virt)
 		}
 	}
-	f := &p.stack[p.depth]
-	f.site = site
-	f.startWall = int64(time.Since(p.epoch))
-	f.childWall = 0
-	f.startVirt = virt
-	parentKey := uint64(0)
+	parent := &p.root
 	if p.depth > 0 {
-		parentKey = p.stack[p.depth-1].pathKey
+		parent = p.stack[p.depth-1].node
+	} else {
+		p.sampled = p.trees%p.stride == 0
+		p.trees++
 	}
-	f.pathKey = parentKey<<8 | uint64(site) + 1
-	f.sampled = false
-	agg := &p.sites[site]
-	agg.count++
-	p.cur.count[site]++
-	if p.allocStride > 0 {
-		m := &p.measured[site]
-		m.allocProbe++
-		if m.allocProbe%p.allocStride == 1 || p.allocStride == 1 {
-			metrics.Read(p.allocSamples)
-			f.allocObjs = p.allocSamples[0].Value.Uint64()
-			f.allocByts = p.allocSamples[1].Value.Uint64()
-			f.sampled = true
+	n := parent.child[site]
+	if n == nil {
+		n = &node{site: site, stack: site.String()}
+		if parent != &p.root {
+			n.stack = parent.stack + ";" + n.stack
 		}
+		parent.child[site] = n
+	}
+	n.count++
+	p.cur.count[site]++
+	f := &p.stack[p.depth]
+	f.node = n
+	f.startVirt = virt
+	if p.depth == 0 || p.sampled {
+		if p.sampled && p.allocSamples != nil {
+			f.allocObjs, f.allocByts = p.readAllocs()
+		}
+		f.startWall = p.now()
+		f.startRead = p.readWall
 	}
 	p.depth++
 	return Region{p: p, idx: int32(p.depth - 1)}
+}
+
+// now is the wall clock, in ns since the profiler's epoch.
+func (p *Profiler) now() int64 { return int64(time.Since(p.epoch)) }
+
+// readAllocs reads the heap's cumulative allocation counters. With a
+// region open the read's own wall time goes to readWall, so it inflates
+// no region's wall.
+func (p *Profiler) readAllocs() (objs, bytes uint64) {
+	var t0 int64
+	if p.depth > 0 {
+		t0 = p.now()
+	}
+	metrics.Read(p.allocSamples)
+	if p.depth > 0 {
+		p.readWall += p.now() - t0
+	}
+	return p.allocSamples[0].Value.Uint64(), p.allocSamples[1].Value.Uint64()
 }
 
 // End closes the region, attributing wall and virtual deltas to its site
@@ -319,10 +364,7 @@ func (r Region) End() {
 func (p *Profiler) exitTop() {
 	p.depth--
 	f := &p.stack[p.depth]
-	wall := int64(time.Since(p.epoch)) - f.startWall
-	if wall < 0 {
-		wall = 0
-	}
+	n := f.node
 	var virtDelta int64
 	if p.clock != nil {
 		virtDelta = p.clock() - f.startVirt
@@ -330,27 +372,25 @@ func (p *Profiler) exitTop() {
 			virtDelta = 0
 		}
 	}
-	agg := &p.sites[f.site]
-	agg.virtual += virtDelta
-	p.cur.virtual[f.site] += virtDelta
-	m := &p.measured[f.site]
-	m.wall += wall
-	m.selfWall += wall - f.childWall
-	if f.sampled {
-		metrics.Read(p.allocSamples)
-		m.allocObjs += (p.allocSamples[0].Value.Uint64() - f.allocObjs) * p.allocStride
-		m.allocBytes += (p.allocSamples[1].Value.Uint64() - f.allocByts) * p.allocStride
+	p.cur.virtual[n.site] += virtDelta
+	n.virtual += virtDelta
+	if p.depth > 0 && !p.sampled {
+		return
 	}
-	pa := p.paths[f.pathKey]
-	if pa == nil {
-		pa = &pathAgg{key: f.pathKey}
-		p.paths[f.pathKey] = pa
+	wall := p.now() - f.startWall - (p.readWall - f.startRead)
+	if wall < 0 {
+		wall = 0
 	}
-	pa.count++
-	pa.virtual += virtDelta
-	pa.wall += wall
-	if p.depth > 0 {
-		p.stack[p.depth-1].childWall += wall
+	n.timed++
+	n.wall += wall
+	if !p.sampled {
+		return
+	}
+	n.sampled++
+	if p.allocSamples != nil {
+		objs, bytes := p.readAllocs()
+		n.allocObjs += objs - f.allocObjs
+		n.allocBytes += bytes - f.allocByts
 	}
 }
 
@@ -360,9 +400,12 @@ func (p *Profiler) exitTop() {
 // fixed seed: buckets are log2 of the virtual duration, and each bucket's
 // exemplar is the trace of its slowest sample (first-wins on ties).
 func (p *Profiler) Sample(site Site, virtual time.Duration, traceID uint64) {
-	if p == nil {
-		return
+	if p != nil {
+		p.sample(site, virtual, traceID)
 	}
+}
+
+func (p *Profiler) sample(site Site, virtual time.Duration, traceID uint64) {
 	d := int64(virtual)
 	if d < 0 {
 		d = 0
@@ -389,14 +432,7 @@ func (p *Profiler) Sample(site Site, virtual time.Duration, traceID uint64) {
 
 // bucketOf maps a non-negative duration to its log2 bucket.
 func bucketOf(d int64) int {
-	b := 0
-	for v := uint64(d); v > 0; v >>= 1 {
-		b++
-	}
-	if b >= numBuckets {
-		b = numBuckets - 1
-	}
-	return b
+	return min(bits.Len64(uint64(d)), numBuckets-1)
 }
 
 // roll closes the current window into the ring and opens the one holding
@@ -438,18 +474,41 @@ func (p *Profiler) Counts() []SiteCount {
 	if p == nil {
 		return nil
 	}
+	count, virt := p.totals()
 	out := make([]SiteCount, 0, numSites)
 	for s := Site(0); s < numSites; s++ {
-		agg := &p.sites[s]
-		if agg.count == 0 && agg.samples == 0 {
+		if count[s] == 0 && p.sites[s].samples == 0 {
 			continue
 		}
 		out = append(out, SiteCount{
 			Site:      s.String(),
-			Count:     agg.count,
-			Samples:   agg.samples,
-			VirtualNs: agg.virtual,
+			Count:     count[s],
+			Samples:   p.sites[s].samples,
+			VirtualNs: virt[s],
 		})
 	}
 	return out
+}
+
+// totals returns each site's region count and virtual time: the sums over
+// its call paths, the latter plus its explicit samples.
+func (p *Profiler) totals() (count [numSites]uint64, virt [numSites]int64) {
+	for s := range p.sites {
+		virt[s] = p.sites[s].virtual
+	}
+	p.root.each(func(n *node) {
+		count[n.site] += n.count
+		virt[n.site] += n.virtual
+	})
+	return count, virt
+}
+
+// each calls fn on every node below n, depth first.
+func (n *node) each(fn func(*node)) {
+	for _, c := range n.child {
+		if c != nil {
+			fn(c)
+			c.each(fn)
+		}
+	}
 }

@@ -243,3 +243,124 @@ func TestRegionEndOutOfOrder(t *testing.T) {
 		t.Fatalf("stacks = %+v", snap.Stacks)
 	}
 }
+
+// TestDeepPathsStayDistinct nests ten regions under two different
+// outermost frames: the paths share their eight innermost frames, and
+// each must stay its own stack in both exports.
+func TestDeepPathsStayDistinct(t *testing.T) {
+	p := New(Options{Enabled: true, AllocSampleStride: -1})
+	inner := []Site{SiteNetSend, SiteNetDeliver, SiteBusDispatch, SiteSchedRoute,
+		SiteSchedSteal, SiteKnowledgeMerge, SiteCoreDecide, SiteTelemetryRecord}
+	for _, outer := range []Site{SiteSimEvent, SiteCoreDecide} {
+		top := p.Enter(outer)
+		p.Enter(SiteNetSend)
+		for _, s := range inner {
+			p.Enter(s)
+		}
+		top.End()
+	}
+	deep := func(outer Site) string {
+		parts := []string{outer.String(), SiteNetSend.String()}
+		for _, s := range inner {
+			parts = append(parts, s.String())
+		}
+		return strings.Join(parts, ";")
+	}
+	want := []string{deep(SiteCoreDecide), deep(SiteSimEvent)}
+
+	got := map[string]uint64{}
+	for _, s := range p.Snapshot().Stacks {
+		got[s.Stack] = s.Count
+	}
+	if len(got) != 20 {
+		t.Fatalf("snapshot has %d stacks, want 20: %v", len(got), got)
+	}
+	var folded bytes.Buffer
+	if err := p.WriteFolded(&folded, WeightCount); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range want {
+		if got[w] != 1 {
+			t.Fatalf("snapshot stack %q has count %d, want 1: %v", w, got[w], got)
+		}
+		if !strings.Contains(folded.String(), w+" 1\n") {
+			t.Fatalf("folded output lacks %q:\n%s", w, folded.String())
+		}
+	}
+}
+
+// TestSampledOverlay runs the default stride: top-level wall stays exact,
+// nested estimates come from every 64th tree, and which regions are
+// measured depends on the region sequence alone.
+func TestSampledOverlay(t *testing.T) {
+	run := func() *Profiler {
+		p := New(Options{Enabled: true})
+		for i := 0; i < 1000; i++ {
+			ev := p.Enter(SiteSimEvent)
+			d := p.Enter(SiteBusDispatch)
+			if i%3 == 0 {
+				r := p.Enter(SiteSchedRoute)
+				allocSink = make([]byte, 64)
+				r.End()
+			}
+			d.End()
+			ev.End()
+		}
+		return p
+	}
+	p := run()
+	top := p.root.child[SiteSimEvent]
+	if top.timed != 1000 || top.sampled != 16 {
+		t.Fatalf("sim.event timed %d sampled %d, want 1000 and 16", top.timed, top.sampled)
+	}
+	var ev *SiteMeasured
+	ms := p.Measured()
+	for i := range ms {
+		if ms[i].SelfWallNs > ms[i].WallNs {
+			t.Fatalf("self wall exceeds wall: %+v", ms[i])
+		}
+		if ms[i].Site == "sim.event" {
+			ev = &ms[i]
+		}
+	}
+	if ev == nil || ev.WallNs != p.TotalWallNs() || ev.WallNs != top.wall {
+		t.Fatalf("sim.event wall %+v, TotalWallNs %d, top-level sum %d", ev, p.TotalWallNs(), top.wall)
+	}
+
+	// The same sequence measures the same regions on every path.
+	q := run()
+	a, b := p.paths(), q.paths()
+	if len(a) != len(b) {
+		t.Fatalf("paths %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.stack != y.stack || x.count != y.count || x.timed != y.timed || x.sampled != y.sampled {
+			t.Fatalf("path %q measured %d/%d of %d, then %q %d/%d of %d",
+				x.stack, x.timed, x.sampled, x.count, y.stack, y.timed, y.sampled, y.count)
+		}
+	}
+}
+
+// BenchmarkRegion is one event tree as the spine opens it: a top-level
+// region holding two nested ones, at the default stride.
+func BenchmarkRegion(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		p    *Profiler
+	}{{"disabled", nil}, {"enabled", New(Options{Enabled: true})}} {
+		b.Run(tc.name, func(b *testing.B) {
+			p := tc.p
+			var now int64
+			p.SetClock(func() int64 { return now })
+			for i := 0; i < b.N; i++ {
+				ev := p.Enter(SiteSimEvent)
+				d := p.Enter(SiteBusDispatch)
+				r := p.Enter(SiteTelemetryRecord)
+				r.End()
+				d.End()
+				ev.End()
+			}
+		})
+	}
+}

@@ -2,12 +2,11 @@
 // counters, gauges, log-bucketed latency histograms, and labelled series.
 // A Registry is attached to each simulation; experiment harnesses render
 // registries into Tables, the row/column structures that regenerate the
-// paper's milestone claims in EXPERIMENTS.md.
+// paper's milestone claims (README §"Tests, benchmarks, experiments").
 //
-// All primitives are goroutine-safe: counters and gauges are lock-free
-// atomics and histograms take a short mutex per observation, so parallel
-// scorers and harnesses inspecting a live run from another goroutine can
-// all record and read concurrently (the CI -race lane exercises this).
+// A registry and its metrics belong to one simulation and are written by
+// its goroutine alone: counters, gauges and histograms are plain fields
+// with no locks or atomics. A live view reads them between engine steps.
 //
 // Metrics can carry labels. A labelled series is addressed by its
 // canonical key — name{k1=v1,k2=v2} with keys sorted — built once with Key
@@ -23,64 +22,52 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"github.com/aisle-sim/aisle/internal/prof"
 )
 
-// Counter is a monotonically increasing count. Goroutine-safe.
-type Counter struct{ n atomic.Int64 }
+// Counter is a monotonically increasing count.
+type Counter struct{ n int64 }
 
 // Inc adds one.
-func (c *Counter) Inc() { c.n.Add(1) }
+func (c *Counter) Inc() { c.n++ }
 
 // Add adds delta, which must be non-negative.
 func (c *Counter) Add(delta int64) {
 	if delta < 0 {
 		panic("telemetry: negative counter delta")
 	}
-	c.n.Add(delta)
+	c.n += delta
 }
 
 // Value reports the current count.
-func (c *Counter) Value() int64 { return c.n.Load() }
+func (c *Counter) Value() int64 { return c.n }
 
-// Gauge is a value that can move in both directions. Goroutine-safe.
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is a value that can move in both directions.
+type Gauge struct{ v float64 }
 
 // Set replaces the gauge value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
+func (g *Gauge) Set(v float64) { g.v = v }
 
 // Add shifts the gauge by delta.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
+func (g *Gauge) Add(delta float64) { g.v += delta }
 
 // Value reports the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram accumulates observations with exact mean tracking plus
 // log-spaced buckets for quantile estimation. Buckets span [1e-9, ~1e12)
 // with 10 buckets per decade, adequate for latencies in seconds or counts.
-// Goroutine-safe: one short mutex per observation.
 type Histogram struct {
-	mu      sync.Mutex
 	count   int64
 	sum     float64
 	min     float64
 	max     float64
-	buckets [220]int64 // 22 decades * 10
+	buckets [histBuckets]int64
 	// recent is a preallocated ring of the latest raw observations: buckets
 	// answer quantiles, the ring answers "what exactly happened just now"
-	// for flight-recorder style readers. Fixed-size and written under mu, so
-	// steady-state recording allocates nothing and stays race-free.
+	// for flight-recorder style readers. Fixed-size, so steady-state
+	// recording allocates nothing.
 	recent [histRingLen]float64
 	rpos   int // next ring write slot
 	rlen   int // valid entries, saturating at histRingLen
@@ -92,6 +79,7 @@ type Histogram struct {
 const (
 	histMinExp        = -9.0 // 1e-9
 	histBucketsPerDec = 10
+	histBuckets       = 220 // 22 decades
 	histRingLen       = 256
 )
 
@@ -102,7 +90,7 @@ func bucketFor(v float64) int {
 	// Clamp before converting: an out-of-range float (+Inf's logarithm)
 	// converts to an implementation-defined int.
 	x := (math.Log10(v) - histMinExp) * histBucketsPerDec
-	last := len((&Histogram{}).buckets) - 1
+	last := histBuckets - 1
 	if !(x >= 0) { // also NaN
 		return 0
 	}
@@ -112,15 +100,20 @@ func bucketFor(v float64) int {
 	return int(x)
 }
 
-func bucketUpper(i int) float64 {
-	return math.Pow(10, histMinExp+float64(i+1)/histBucketsPerDec)
-}
+// bucketUppers holds each bucket's upper bound, computed once: the SLO
+// engine's CountAtOrBelow walks them on every health sample.
+var bucketUppers = func() (u [histBuckets]float64) {
+	for i := range u {
+		u[i] = math.Pow(10, histMinExp+float64(i+1)/histBucketsPerDec)
+	}
+	return u
+}()
+
+func bucketUpper(i int) float64 { return bucketUppers[i] }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
 	r := h.prof.Enter(prof.SiteTelemetryRecord)
-	defer r.End()
-	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
 	}
@@ -135,15 +128,13 @@ func (h *Histogram) Observe(v float64) {
 	if h.rlen < histRingLen {
 		h.rlen++
 	}
-	h.mu.Unlock()
+	r.End()
 }
 
 // Recent appends the ring's observations to dst in arrival order (oldest
 // first) and returns the extended slice. At most the latest 256 values are
 // retained; pass a reused buffer to read without allocating.
 func (h *Histogram) Recent(dst []float64) []float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	start := (h.rpos - h.rlen + histRingLen) % histRingLen
 	for i := 0; i < h.rlen; i++ {
 		dst = append(dst, h.recent[(start+i)%histRingLen])
@@ -153,22 +144,16 @@ func (h *Histogram) Recent(dst []float64) []float64 {
 
 // Count reports the number of observations.
 func (h *Histogram) Count() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 
 // Sum reports the sum of observations.
 func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.sum
 }
 
 // Mean reports the arithmetic mean, or 0 with no observations.
 func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.count == 0 {
 		return 0
 	}
@@ -177,15 +162,11 @@ func (h *Histogram) Mean() float64 {
 
 // Min reports the smallest observation, or 0 with none.
 func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.min
 }
 
 // Max reports the largest observation, or 0 with none.
 func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.max
 }
 
@@ -195,8 +176,6 @@ func (h *Histogram) Max() float64 {
 // excluded, so an SLO counting "good" events with it never over-reports
 // health by more than one bucket's width (~26% at 10 buckets/decade).
 func (h *Histogram) CountAtOrBelow(v float64) int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	var n int64
 	for i, b := range h.buckets {
 		if bucketUpper(i) > v {
@@ -211,12 +190,6 @@ func (h *Histogram) CountAtOrBelow(v float64) int64 {
 // estimate is the upper bound of the bucket containing the quantile, so it
 // is conservative (never under-reports a latency).
 func (h *Histogram) Quantile(q float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.quantileLocked(q)
-}
-
-func (h *Histogram) quantileLocked(q float64) float64 {
 	if h.count == 0 {
 		return 0
 	}
@@ -278,10 +251,9 @@ func Key(name string, kv ...string) string {
 }
 
 // Registry is a namespace of named metrics. The zero value is ready to use.
-// Lookups are goroutine-safe; hot paths should still cache the returned
-// metric pointer rather than re-resolving names per event.
+// Hot paths should cache the returned metric pointer rather than
+// re-resolving names per event.
 type Registry struct {
-	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -290,12 +262,8 @@ type Registry struct {
 
 // SetProfiler attaches the spine profiler to the registry: every histogram
 // (existing and future) records its observations under the
-// telemetry.record call-site. The profiler is single-goroutine by design,
-// so this is only wired on registries owned by the single-threaded sim
-// spine — exactly where the observations are hot.
+// telemetry.record call-site.
 func (r *Registry) SetProfiler(p *prof.Profiler) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.prof = p
 	for _, h := range r.hists {
 		h.prof = p
@@ -307,19 +275,11 @@ func NewRegistry() *Registry { return &Registry{} }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.RLock()
 	c, ok := r.counters[name]
-	r.mu.RUnlock()
-	if ok {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters == nil {
-		r.counters = make(map[string]*Counter)
-	}
-	c, ok = r.counters[name]
 	if !ok {
+		if r.counters == nil {
+			r.counters = make(map[string]*Counter)
+		}
 		c = &Counter{}
 		r.counters[name] = c
 	}
@@ -328,19 +288,11 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
 	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok = r.gauges[name]
 	if !ok {
+		if r.gauges == nil {
+			r.gauges = make(map[string]*Gauge)
+		}
 		g = &Gauge{}
 		r.gauges[name] = g
 	}
@@ -349,19 +301,11 @@ func (r *Registry) Gauge(name string) *Gauge {
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
 	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	h, ok = r.hists[name]
 	if !ok {
+		if r.hists == nil {
+			r.hists = make(map[string]*Histogram)
+		}
 		h = &Histogram{prof: r.prof}
 		r.hists[name] = h
 	}
@@ -372,29 +316,21 @@ func (r *Registry) Histogram(name string) *Histogram {
 // SLO engine polls with Find* so watching a metric a subsystem has not
 // emitted yet never materializes a phantom series.
 func (r *Registry) FindCounter(name string) *Counter {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.counters[name]
 }
 
 // FindGauge returns the named gauge without creating it, or nil.
 func (r *Registry) FindGauge(name string) *Gauge {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.gauges[name]
 }
 
 // FindHistogram returns the named histogram without creating it, or nil.
 func (r *Registry) FindHistogram(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.hists[name]
 }
 
 // Names returns the sorted names of all metrics of every kind.
 func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var names []string
 	for n := range r.counters {
 		names = append(names, n)
@@ -474,55 +410,31 @@ type Snapshot struct {
 
 // Snapshot captures every metric's current value.
 func (r *Registry) Snapshot() Snapshot {
-	r.mu.RLock()
-	counters := make([]*Counter, 0, len(r.counters))
-	counterNames := make([]string, 0, len(r.counters))
-	for n, c := range r.counters {
-		counterNames = append(counterNames, n)
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	gaugeNames := make([]string, 0, len(r.gauges))
-	for n, g := range r.gauges {
-		gaugeNames = append(gaugeNames, n)
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	histNames := make([]string, 0, len(r.hists))
-	for n, h := range r.hists {
-		histNames = append(histNames, n)
-		hists = append(hists, h)
-	}
-	r.mu.RUnlock()
-
 	var snap Snapshot
-	if len(counters) > 0 {
-		snap.Counters = make(map[string]int64, len(counters))
-		for i, c := range counters {
-			snap.Counters[counterNames[i]] = c.Value()
+	if len(r.counters) > 0 {
+		snap.Counters = make(map[string]int64, len(r.counters))
+		for name, c := range r.counters {
+			snap.Counters[name] = c.Value()
 		}
 	}
-	if len(gauges) > 0 {
-		snap.Gauges = make(map[string]float64, len(gauges))
-		for i, g := range gauges {
-			snap.Gauges[gaugeNames[i]] = g.Value()
+	if len(r.gauges) > 0 {
+		snap.Gauges = make(map[string]float64, len(r.gauges))
+		for name, g := range r.gauges {
+			snap.Gauges[name] = g.Value()
 		}
 	}
-	if len(hists) > 0 {
-		snap.Histograms = make(map[string]HistogramSnapshot, len(hists))
-		for i, h := range hists {
-			h.mu.Lock()
+	if len(r.hists) > 0 {
+		snap.Histograms = make(map[string]HistogramSnapshot, len(r.hists))
+		for name, h := range r.hists {
 			hs := HistogramSnapshot{
 				Count: h.count,
 				Sum:   h.sum,
 				Min:   h.min,
 				Max:   h.max,
-				P50:   h.quantileLocked(0.50),
-				P90:   h.quantileLocked(0.90),
-				P99:   h.quantileLocked(0.99),
-			}
-			if h.count > 0 {
-				hs.Mean = h.sum / float64(h.count)
+				Mean:  h.Mean(),
+				P50:   h.Quantile(0.50),
+				P90:   h.Quantile(0.90),
+				P99:   h.Quantile(0.99),
 			}
 			for j, b := range h.buckets {
 				if b > 0 {
@@ -530,8 +442,7 @@ func (r *Registry) Snapshot() Snapshot {
 						UpperBound: bucketUpper(j), Count: b})
 				}
 			}
-			h.mu.Unlock()
-			snap.Histograms[histNames[i]] = hs
+			snap.Histograms[name] = hs
 		}
 	}
 	return snap
@@ -592,7 +503,7 @@ func FormatFloat(v float64) string {
 }
 
 // Render draws the table as aligned plain text suitable for terminals and
-// EXPERIMENTS.md code blocks.
+// the code blocks of README §"Tests, benchmarks, experiments".
 func (t *Table) Render() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s", t.Name)

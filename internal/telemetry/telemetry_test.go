@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -297,45 +296,6 @@ func TestSnapshotQuantilesBracketObservations(t *testing.T) {
 	}
 	if hs.P50 > hs.P90 || hs.P90 > hs.P99 {
 		t.Fatalf("quantiles not monotone: %+v", hs)
-	}
-}
-
-// Exercised under the CI -race lane: concurrent writers and readers on every
-// primitive plus registry lookups must be data-race free.
-func TestConcurrentMetrics(t *testing.T) {
-	r := NewRegistry()
-	const goroutines, iters = 8, 1000
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			c := r.Counter("c")
-			ga := r.Gauge("g")
-			h := r.Histogram("h")
-			for i := 0; i < iters; i++ {
-				c.Inc()
-				ga.Add(1)
-				h.Observe(float64(i%10) + 0.1)
-				if i%100 == 0 {
-					_ = r.Snapshot()
-					_ = r.Names()
-					_ = h.Quantile(0.9)
-				}
-				// Distinct names force concurrent map growth too.
-				r.Counter(Key("per", "g", string(rune('a'+g)))).Inc()
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := r.Counter("c").Value(); got != goroutines*iters {
-		t.Fatalf("counter = %d, want %d", got, goroutines*iters)
-	}
-	if got := r.Gauge("g").Value(); got != goroutines*iters {
-		t.Fatalf("gauge = %v, want %d", got, goroutines*iters)
-	}
-	if got := r.Histogram("h").Count(); got != goroutines*iters {
-		t.Fatalf("histogram count = %d, want %d", got, goroutines*iters)
 	}
 }
 

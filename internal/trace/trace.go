@@ -32,7 +32,6 @@ package trace
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"github.com/aisle-sim/aisle/internal/sim"
 )
@@ -141,14 +140,12 @@ func (o *Options) defaults() {
 // Tracer records spans into fixed-capacity per-site ring buffers. A nil
 // *Tracer is a valid, always-off tracer; all methods short-circuit.
 //
-// The mutex exists for the benefit of harnesses that inspect a tracer from
-// another goroutine (and the -race lane); within a simulation all recording
-// happens on the single sim goroutine, so it is uncontended.
+// A tracer belongs to one simulation and records on its goroutine alone,
+// so it takes no locks; read it between engine steps.
 type Tracer struct {
 	opts      Options
 	threshold uint64 // sample when mix(traceID) <= threshold
 
-	mu      sync.Mutex
 	sites   map[string]*siteBuf
 	order   []string // sorted site names, maintained on insert
 	nextID  uint64
@@ -217,7 +214,6 @@ func (t *Tracer) Root(traceID uint64) Context {
 
 // record copies the finished span into its site's ring.
 func (t *Tracer) record(s *Span) {
-	t.mu.Lock()
 	b := t.sites[s.Site]
 	if b == nil {
 		b = &siteBuf{spans: make([]Span, 0, t.opts.SiteCapacity)}
@@ -239,15 +235,11 @@ func (t *Tracer) record(s *Span) {
 		}
 	}
 	b.total++
-	t.mu.Unlock()
 }
 
 func (t *Tracer) nextSpanID() uint64 {
-	t.mu.Lock()
 	t.nextID++
-	id := t.nextID
-	t.mu.Unlock()
-	return id
+	return t.nextID
 }
 
 // Dropped reports spans overwritten by ring overflow.
@@ -255,8 +247,6 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.dropped
 }
 
@@ -275,14 +265,11 @@ func (t *Tracer) DroppedBySite() map[string]uint64 {
 }
 
 // EachDropped calls fn, in site order, for every site with drops — the
-// map-free form of DroppedBySite for callers that poll. fn runs under the
-// tracer's lock and must not call back into the tracer.
+// map-free form of DroppedBySite for callers that poll.
 func (t *Tracer) EachDropped(fn func(site string, n uint64)) {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	for _, site := range t.order {
 		if b := t.sites[site]; b.dropped > 0 {
 			fn(site, b.dropped)
@@ -295,8 +282,6 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	n := 0
 	for _, b := range t.sites {
 		n += len(b.spans)
@@ -309,8 +294,6 @@ func (t *Tracer) Sites() []string {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return append([]string(nil), t.order...)
 }
 
@@ -320,8 +303,6 @@ func (t *Tracer) Spans() []Span {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	var out []Span
 	for _, site := range t.order {
 		b := t.sites[site]
