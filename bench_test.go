@@ -88,8 +88,8 @@ func BenchmarkE15SchedSaturation(b *testing.B) { benchExperiment(b, "E15") }
 // reporting wall time per full saturation run and virtual campaign
 // throughput. This is the heavy-multi-tenant-traffic scenario from the
 // roadmap's north star; the workload itself lives in
-// experiments.RunSaturation so aisle-bench's BENCH_optimize.json recorder
-// measures exactly the same thing.
+// experiments.RunSaturation, so these benchmarks time exactly the runs
+// whose makespan and allocations contract_test.go pins.
 func benchConcurrentCampaigns(b *testing.B, parallelism int, tr TraceOptions) {
 	b.Helper()
 	const nCamps = 200
@@ -115,16 +115,14 @@ func benchConcurrentCampaigns(b *testing.B, parallelism int, tr TraceOptions) {
 func BenchmarkSchedCampaignsP1(b *testing.B) { benchConcurrentCampaigns(b, 1, TraceOptions{}) }
 
 // BenchmarkSchedCampaignsP4 keeps 4 experiments per campaign in flight.
-// Tracing stays on its zero-value disabled path, so comparing this against
-// the recorded pre-instrumentation numbers (BENCH_optimize.json baseline)
-// guards the tracing layer's disabled-mode zero-allocation contract at
-// macro scale.
+// Tracing stays on its zero-value disabled path; TestContractMacroAllocations
+// holds the same run's heap objects under a ceiling.
 func BenchmarkSchedCampaignsP4(b *testing.B) { benchConcurrentCampaigns(b, 4, TraceOptions{}) }
 
 // BenchmarkSchedCampaignsP4Traced is the same workload fully sampled: the
 // delta against BenchmarkSchedCampaignsP4 is the whole cost of causal
-// tracing (aisle-bench -tracebench records the same pair in
-// BENCH_trace.json).
+// tracing (TestContractMakespanAndProfile holds the traced run to the
+// untraced makespan).
 func BenchmarkSchedCampaignsP4Traced(b *testing.B) {
 	benchConcurrentCampaigns(b, 4, TraceOptions{Enabled: true})
 }

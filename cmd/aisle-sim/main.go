@@ -8,6 +8,7 @@
 //	aisle-sim -trace trace.json     # also record a Chrome/Perfetto trace
 //	aisle-sim -watch                # health engine + periodic SLO table
 //	aisle-sim -profile profile.json # continuous spine profiler
+//	aisle-sim -exp E15 [-quick]     # one E-series claim table (or -exp all)
 //
 // The scenario schema (see -example) declares sites, per-site instruments,
 // and one campaign. With -trace the run records every span (sampling 1.0)
@@ -20,6 +21,11 @@
 // completes. With -profile the run attributes virtual time per hot
 // call-site and writes the deterministic profile JSON at the given path
 // and flamegraph-ready folded stacks (virtual-time weights) next to it.
+//
+// With -exp the command runs no scenario: it regenerates the E-series
+// tables that reproduce the paper's milestone claims, at seed 42, one
+// experiment by ID or every one in ID order for "all"; -quick shrinks the
+// workloads. An unknown ID lists the experiments.
 package main
 
 import (
@@ -32,6 +38,7 @@ import (
 	"time"
 
 	"github.com/aisle-sim/aisle"
+	"github.com/aisle-sim/aisle/internal/experiments"
 	"github.com/aisle-sim/aisle/internal/prof"
 	"github.com/aisle-sim/aisle/internal/twin"
 )
@@ -85,10 +92,16 @@ func main() {
 	metricsPath := flag.String("metrics", "", "write a labeled telemetry snapshot JSON file")
 	watch := flag.Bool("watch", false, "enable the health engine and print a periodic SLO table")
 	profilePath := flag.String("profile", "", "enable the spine profiler and write its deterministic profile JSON file")
+	exp := flag.String("exp", "", "print an E-series experiment's claim tables by ID, or every experiment's with all")
+	quick := flag.Bool("quick", false, "with -exp, shrink the workloads")
 	flag.Parse()
 
 	if *example {
 		fmt.Println(exampleScenario)
+		return
+	}
+	if *exp != "" {
+		runExperiments(*exp, *quick)
 		return
 	}
 
@@ -221,6 +234,30 @@ func main() {
 	}
 
 	printReport(rep)
+}
+
+// runExperiments prints the tables of experiment id, or of every
+// experiment for "all", each followed by its wall time.
+func runExperiments(id string, quick bool) {
+	ids := []string{id}
+	if id == "all" {
+		ids = experiments.IDs()
+	}
+	for _, id := range ids {
+		start := time.Now()
+		tables, err := experiments.Run(id, experiments.Options{Seed: 42, Quick: quick})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "aisle-sim: %v; the experiments are:\n", err)
+			for _, id := range experiments.IDs() {
+				fmt.Fprintf(os.Stderr, "  %-5s %s\n", id, experiments.Describe(id))
+			}
+			os.Exit(2)
+		}
+		for _, t := range tables {
+			fmt.Println(t.Render())
+		}
+		fmt.Printf("[%s completed in %.1fs wall]\n\n", id, time.Since(start).Seconds())
+	}
 }
 
 // printReport emits the campaign outcome JSON on stdout.

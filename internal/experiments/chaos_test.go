@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -13,8 +14,8 @@ import (
 
 // dumpHealthEvidence freezes the run's flight recorder and writes the
 // snapshot journal plus the incident root-cause report under the directory
-// named by AISLE_SNAPSHOT_DIR. CI sets the variable on the chaos lane and
-// uploads the directory as an artifact when the lane fails, so a red run
+// named by AISLE_SNAPSHOT_DIR. CI sets the variable on the race job and
+// uploads the directory as an artifact when the job fails, so a red run
 // ships the evidence needed to diagnose it. No-op when the variable is
 // unset (local runs) or the run's health engine was disabled.
 func dumpHealthEvidence(t *testing.T, res ChaosResult, tag string) {
@@ -102,36 +103,85 @@ func TestChaosNoFaultDeterministic(t *testing.T) {
 	}
 }
 
-// TestChaosRecoveryOutcompletesBaseline is the benchmark claim in test
-// form: at 15% fault intensity the self-healing policy must complete at
-// least 95% of jobs and strictly beat the no-recovery baseline.
+// chaosCell is one cell of the chaos matrix: seed 2, 300 jobs over three
+// virtual hours, with the health engine on so a failing cell leaves its
+// flight-recorder evidence.
+func chaosCell(intensity float64, recovery bool) ChaosSpec {
+	return ChaosSpec{Seed: 2, Jobs: 300, Horizon: 3 * sim.Hour, Intensity: intensity,
+		Recovery: recovery, Health: obs.Options{Enabled: true}}
+}
+
+// TestChaosRecoveryOutcompletesBaseline is the chaos matrix: fault
+// intensity 0, 5, 15 and 30% with the self-healing policy on, plus 15%
+// with no recovery. No cell may violate an invariant, and at 15% the
+// healed run must complete at least 95% of jobs and strictly beat the
+// baseline.
 func TestChaosRecoveryOutcompletesBaseline(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full chaos cells")
+		t.Skip("five full chaos cells")
 	}
-	spec := ChaosSpec{Seed: 2, Jobs: 300, Horizon: 3 * sim.Hour, Intensity: 0.15}
-	base, err := RunChaos(spec)
-	if err != nil {
-		t.Fatal(err)
+	var healed, base float64
+	for _, c := range []struct {
+		intensity float64
+		recovery  bool
+	}{{0, true}, {0.05, true}, {0.15, true}, {0.30, true}, {0.15, false}} {
+		res, err := RunChaos(chaosCell(c.intensity, c.recovery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tag := fmt.Sprintf("matrix-%02.0fpct-recovery-%v", c.intensity*100, c.recovery)
+		dumpHealthEvidence(t, res, tag)
+		for _, v := range res.Violations {
+			t.Errorf("%s: invariant violation: %s", tag, v)
+		}
+		if c.intensity == 0.15 {
+			if c.recovery {
+				healed = res.CompletionRate
+			} else {
+				base = res.CompletionRate
+			}
+		}
 	}
-	spec.Recovery = true
-	spec.Health = obs.Options{Enabled: true}
-	healed, err := RunChaos(spec)
-	if err != nil {
-		t.Fatal(err)
+	if healed < 0.95 {
+		t.Errorf("recovery completion rate %.1f%% < 95%%", healed*100)
 	}
-	dumpHealthEvidence(t, healed, "recovery-seed-2")
-	if healed.CompletionRate < 0.95 {
-		t.Errorf("recovery completion rate %.1f%% < 95%%", healed.CompletionRate*100)
+	if healed <= base {
+		t.Errorf("recovery (%.1f%%) did not beat baseline (%.1f%%)", healed*100, base*100)
 	}
-	if healed.CompletionRate <= base.CompletionRate {
-		t.Errorf("recovery (%.1f%%) did not beat baseline (%.1f%%)",
-			healed.CompletionRate*100, base.CompletionRate*100)
+}
+
+// TestChaosHealthReportsDeterministic runs the healed 15% cell twice: the
+// flight-recorder snapshots and incident reports must serialize
+// byte-identically, and fault attribution must cover at least 95% of the
+// degraded jobs.
+func TestChaosHealthReportsDeterministic(t *testing.T) {
+	var snaps, incidents [2]bytes.Buffer
+	var res ChaosResult
+	for i := range snaps {
+		var err error
+		if res, err = RunChaos(chaosCell(0.15, true)); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Health.WriteSnapshotsJSON(&snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Health.WriteIncidentsJSON(&incidents[i]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	for _, v := range healed.Violations {
-		t.Errorf("invariant violation with recovery on: %s", v)
+	if !bytes.Equal(snaps[0].Bytes(), snaps[1].Bytes()) {
+		t.Errorf("flight-recorder snapshots differ across identical runs (%d vs %d bytes)",
+			snaps[0].Len(), snaps[1].Len())
 	}
-	for _, v := range base.Violations {
-		t.Errorf("invariant violation with recovery off: %s", v)
+	if !bytes.Equal(incidents[0].Bytes(), incidents[1].Bytes()) {
+		t.Errorf("incident reports differ across identical runs (%d vs %d bytes)",
+			incidents[0].Len(), incidents[1].Len())
+	}
+	att := res.Attribution
+	t.Logf("%d B snapshots, %d B incidents; %d of %d degraded jobs attributed",
+		snaps[0].Len(), incidents[0].Len(), att.AttributedJobs, att.DegradedJobs)
+	if att.DegradedJobs > 0 && att.Coverage < 0.95 {
+		t.Errorf("attribution coverage %.1f%% below 95%% (%d/%d degraded jobs attributed)",
+			att.Coverage*100, att.AttributedJobs, att.DegradedJobs)
 	}
 }

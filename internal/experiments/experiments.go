@@ -86,16 +86,6 @@ func Run(id string, o Options) ([]*telemetry.Table, error) {
 	return r(o), nil
 }
 
-// RunAll executes every registered experiment in ID order.
-func RunAll(o Options) []*telemetry.Table {
-	var out []*telemetry.Table
-	for _, id := range IDs() {
-		tables, _ := Run(id, o)
-		out = append(out, tables...)
-	}
-	return out
-}
-
 // parMap runs fn for i in [0,n) across a bounded worker pool and returns
 // the results in index order. Each fn invocation must be self-contained
 // (own engine, own RNG fork) — the pool provides wall-clock parallelism for

@@ -93,3 +93,35 @@ func TestAskRefillAllocations(t *testing.T) {
 		t.Fatalf("warm refill allocates %v objects, budget %d", got, refillAllocBudget)
 	}
 }
+
+// The GP engine's warm per-call allocations at the MaxFit window (n=256)
+// and the default 576-candidate pool: a refit and a batch prediction reuse
+// their storage; an 8-point batch with four in flight allocates its
+// fantasies, returned points and scoring fan-out, nothing per candidate.
+func TestEngineAllocations(t *testing.T) {
+	xs, ys := benchData(256, 4)
+	g := NewGP(defaultKernel(4), 1e-4)
+	if err := g.Fit(xs, ys); err != nil {
+		t.Fatal(err)
+	}
+	cands, _ := benchData(576, 4)
+	mu, va := make([]float64, len(cands)), make([]float64, len(cands))
+	var scratch PredictScratch
+	bo, fly := refillState(256, BayesOpts{})
+	fly = append(fly, benchSpace().Sample(rng.New(17)))
+	for _, tc := range []struct {
+		name    string
+		ceiling float64
+		call    func()
+	}{
+		{"Fit", 64, func() { _ = g.Fit(xs, ys) }},
+		{"PredictBatch", 64, func() { g.PredictBatch(cands, mu, va, &scratch) }},
+		{"AskBatch(8, 4 in flight)", 164, func() { bo.AskBatch(8, fly) }},
+	} {
+		got := testing.AllocsPerRun(5, tc.call)
+		t.Logf("%s: %v objects", tc.name, got)
+		if got > tc.ceiling {
+			t.Errorf("warm %s allocates %v objects, ceiling %v", tc.name, got, tc.ceiling)
+		}
+	}
+}

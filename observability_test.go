@@ -73,22 +73,30 @@ func TestTraceGoldenDeterministic(t *testing.T) {
 	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
 		t.Fatal("two fixed-seed runs produced different traces")
 	}
-	golden := filepath.Join("testdata", "trace_golden.json")
+	checkGolden(t, "trace_golden.json", bufs[0].Bytes())
+}
+
+// checkGolden compares got with testdata/name, first rewriting the file
+// when -update is set.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	golden := filepath.Join("testdata", name)
 	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, bufs[0].Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	want, err := os.ReadFile(golden)
 	if err != nil {
-		t.Fatalf("%v (regenerate with go test -run TraceGolden -update)", err)
+		t.Fatalf("%v (regenerate with -update)", err)
 	}
-	if !bytes.Equal(bufs[0].Bytes(), want) {
-		t.Fatalf("trace diverged from %s (refresh with -update if intended); got %d bytes, want %d",
-			golden, bufs[0].Len(), len(want))
+	if !bytes.Equal(got, want) {
+		at := 0
+		for at < len(got) && at < len(want) && got[at] == want[at] {
+			at++
+		}
+		t.Fatalf("output diverged from %s at byte %d (refresh with -update if intended); got %d bytes, want %d",
+			golden, at, len(got), len(want))
 	}
 }
 

@@ -1,8 +1,8 @@
 // Profiling acceptance tests: the continuous spine profiler must observe
 // the federation without perturbing it (bit-identical virtual trajectory
 // with the profiler on or off), its deterministic exports must reproduce
-// byte-identically across fixed-seed runs, and the disabled path must not
-// allocate — the contract that lets the profiler stay on in production.
+// byte-identically across fixed-seed runs, it must see every event the
+// engine fires, and the disabled path must not allocate — the contract that lets the profiler stay on in production.
 package aisle
 
 import (
@@ -81,6 +81,22 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 	if jsons[0].Len() == 0 || counts[0].Len() == 0 {
 		t.Fatal("profiler exports are empty on a profiled run")
+	}
+}
+
+// TestProfilerSeesEveryEvent: every event the engine fires runs inside
+// one top-level sim.event region, so the profiler attributes the whole
+// event loop and misses no event.
+func TestProfilerSeesEveryEvent(t *testing.T) {
+	n, _ := runProfiledCampaign(t)
+	var regions uint64
+	for _, c := range n.Prof.Counts() {
+		if c.Site == prof.SiteSimEvent.String() {
+			regions = c.Count
+		}
+	}
+	if processed := n.Eng.Processed(); regions == 0 || regions != processed {
+		t.Fatalf("%d sim.event regions for %d processed events", regions, processed)
 	}
 }
 
