@@ -75,8 +75,8 @@ const (
 )
 
 // Federation scheduler. Every campaign experiment goes through it;
-// CampaignConfig.Parallelism sets how many a campaign keeps in flight, and
-// FairWeight and Priority control the campaign's fair share of the fleet.
+// CampaignConfig.Parallelism sets how many a campaign keeps in flight,
+// FairWeight its fair-share weight and Priority its priority class.
 type (
 	// Scheduler is the federation-wide experiment scheduler (Network.Sched).
 	Scheduler = sched.Scheduler

@@ -15,7 +15,7 @@ func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		tables, err := experiments.Run(id, experiments.Options{
-			Seed: uint64(42 + i), Quick: true, Replicas: 2,
+			Seed: uint64(42 + i), Quick: true,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -16,7 +16,6 @@ package bus
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/aisle-sim/aisle/internal/netsim"
 	"github.com/aisle-sim/aisle/internal/prof"
@@ -301,9 +300,6 @@ type subscription struct {
 	fn   func(*Envelope)
 }
 
-// Site reports which site this broker serves.
-func (b *Broker) Site() netsim.SiteID { return b.site }
-
 // Register installs an asynchronous handler for the named endpoint.
 func (b *Broker) Register(name string, h Handler) {
 	b.endpoints[name] = endpoint{h: h}
@@ -317,19 +313,6 @@ func (b *Broker) RegisterFunc(name string, procTime sim.Time, fn func(*Envelope)
 		return
 	}
 	b.endpoints[name] = endpoint{fn: fn, procTime: procTime}
-}
-
-// Deregister removes an endpoint (e.g. on simulated crash).
-func (b *Broker) Deregister(name string) { delete(b.endpoints, name) }
-
-// Endpoints lists registered endpoint names, sorted.
-func (b *Broker) Endpoints() []string {
-	names := make([]string, 0, len(b.endpoints))
-	for n := range b.endpoints {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // deliver dispatches an inbound envelope: middleware first, then per-kind.
@@ -489,7 +472,6 @@ type pendingCall struct {
 	done    bool
 	fabric  *Fabric
 	started sim.Time
-	retries int
 	trace   uint64 // trace ID for the completion's profiler exemplar
 
 	opts   CallOpts
@@ -615,7 +597,6 @@ func (pc *pendingCall) attempt(n int) {
 	}
 	if n > 0 {
 		f.rpcRetries.Inc()
-		pc.retries++
 	}
 	// Round-robin over To plus Alternates without materializing a slice.
 	target := pc.opts.To

@@ -15,25 +15,6 @@ func (f *Fabric) Subscribe(addr Address, topic string, qos QoS, fn func(*Envelop
 	f.topicSubs[topic] = append(f.topicSubs[topic], subscriberRef{addr: addr, qos: qos, b: b})
 }
 
-// Unsubscribe removes every subscription of addr on topic.
-func (f *Fabric) Unsubscribe(addr Address, topic string) {
-	b := f.Broker(addr.Site)
-	var keep []subscription
-	for _, s := range b.subs[topic] {
-		if s.addr != addr {
-			keep = append(keep, s)
-		}
-	}
-	b.subs[topic] = keep
-	var keepRefs []subscriberRef
-	for _, r := range f.topicSubs[topic] {
-		if r.addr != addr {
-			keepRefs = append(keepRefs, r)
-		}
-	}
-	f.topicSubs[topic] = keepRefs
-}
-
 type subscriberRef struct {
 	addr Address
 	qos  QoS

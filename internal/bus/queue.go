@@ -70,17 +70,6 @@ func (q *Queue) Consume(addr Address, fn func(*Envelope) error) {
 	q.broker.fabric.eng.Schedule(0, q.pump)
 }
 
-// CancelConsumer removes all consumers registered at addr.
-func (q *Queue) CancelConsumer(addr Address) {
-	var keep []consumerRef
-	for _, c := range q.consumers {
-		if c.addr != addr {
-			keep = append(keep, c)
-		}
-	}
-	q.consumers = keep
-}
-
 // Enqueue publishes a message onto the queue from the producer address.
 // The message travels to the queue's host broker under publisher-confirm
 // semantics: the host acknowledges receipt, and unconfirmed publishes are

@@ -84,18 +84,15 @@ type Config struct {
 	Intensity float64
 	// Kinds restricts which faults are drawn; nil means AllKinds.
 	Kinds []Kind
-	// MinDuration/MaxDuration bound window lengths. Defaults 5m/30m.
-	MinDuration sim.Time
-	MaxDuration sim.Time
 }
 
+// minDuration and maxDuration bound fault window lengths.
+const (
+	minDuration = 5 * sim.Minute
+	maxDuration = 30 * sim.Minute
+)
+
 func (c *Config) defaults() {
-	if c.MinDuration <= 0 {
-		c.MinDuration = 5 * sim.Minute
-	}
-	if c.MaxDuration < c.MinDuration {
-		c.MaxDuration = 6 * c.MinDuration
-	}
 	if len(c.Kinds) == 0 {
 		c.Kinds = AllKinds()
 	}
@@ -112,7 +109,7 @@ func Schedule(cfg Config, sites []netsim.SiteID) []Event {
 		return nil
 	}
 	r := rng.New(cfg.Seed).Fork("chaos-schedule")
-	meanDur := float64(cfg.MinDuration+cfg.MaxDuration) / 2
+	meanDur := float64(minDuration+maxDuration) / 2
 	// Little's law: concurrency = arrival rate × mean duration.
 	meanGap := meanDur / (cfg.Intensity * float64(len(sites)))
 	var out []Event
@@ -121,7 +118,7 @@ func Schedule(cfg Config, sites []netsim.SiteID) []Event {
 		ev := Event{
 			Kind:     cfg.Kinds[r.Intn(len(cfg.Kinds))],
 			At:       t,
-			Duration: sim.Time(r.Range(float64(cfg.MinDuration), float64(cfg.MaxDuration))),
+			Duration: sim.Time(r.Range(float64(minDuration), float64(maxDuration))),
 			Site:     sites[r.Intn(len(sites))],
 		}
 		if ev.Kind == KindDegrade {

@@ -60,10 +60,6 @@ type CampaignConfig struct {
 	UseKnowledge bool
 	// SeedLabel decorrelates replicas.
 	SeedLabel string
-	// MaxFailuresPerPoint bounds instrument-failure retries. Default 2.
-	MaxFailuresPerPoint int
-	// InstrumentTimeout bounds one instrument call. Default 48h.
-	InstrumentTimeout sim.Time
 	// Parallelism is how many experiments the campaign keeps in flight
 	// through the federation scheduler. 0 and 1 both mean one at a time.
 	Parallelism int
@@ -74,6 +70,13 @@ type CampaignConfig struct {
 	// normal priority.
 	Priority sched.Class
 }
+
+const (
+	// maxFailuresPerPoint bounds instrument-failure retries of one point.
+	maxFailuresPerPoint = 2
+	// instrumentTimeout bounds one instrument call.
+	instrumentTimeout = 48 * sim.Hour
+)
 
 // CampaignReport is the outcome of one campaign.
 type CampaignReport struct {
@@ -137,12 +140,6 @@ var ErrNoInstrument = errors.New("core: no instrument available")
 func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 	if cfg.Parallelism < 1 {
 		cfg.Parallelism = 1
-	}
-	if cfg.MaxFailuresPerPoint == 0 {
-		cfg.MaxFailuresPerPoint = 2
-	}
-	if cfg.InstrumentTimeout == 0 {
-		cfg.InstrumentTimeout = 48 * sim.Hour
 	}
 	site := n.Site(cfg.Site)
 	if site == nil {
@@ -353,7 +350,7 @@ func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace
 				SampleID: res.SampleID,
 				Trace:    et.ctxOr(),
 			},
-			Timeout: c.cfg.InstrumentTimeout,
+			Timeout: instrumentTimeout,
 			Trace:   et.ctxOr(),
 		}, func(instrument.Result, error) {
 			if c.finished {
@@ -496,7 +493,7 @@ func (c *campaign) launch(intended param.Point) {
 }
 
 // submitSched ships one proposal through the federation scheduler,
-// retrying a failed experiment up to MaxFailuresPerPoint times.
+// retrying a failed experiment up to maxFailuresPerPoint times.
 func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, et *expTrace) {
 	if c.finished {
 		return
@@ -519,7 +516,7 @@ func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, e
 		Origin:  c.cfg.Site,
 		Kind:    c.cfg.SynthKind,
 		Cmd:     cmd,
-		Timeout: c.cfg.InstrumentTimeout,
+		Timeout: instrumentTimeout,
 		Trace:   et.ctxOr(),
 	}, func(res instrument.Result, err error) {
 		if c.finished {
@@ -528,7 +525,7 @@ func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, e
 		c.rep.InstrumentTime += c.n.Eng.Now() - started
 		if err != nil {
 			c.rep.Failures++
-			if failures+1 <= c.cfg.MaxFailuresPerPoint {
+			if failures+1 <= maxFailuresPerPoint {
 				c.submitSched(prop, sample, failures+1, et)
 				return
 			}

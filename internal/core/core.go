@@ -13,7 +13,6 @@ package core
 import (
 	"fmt"
 
-	"github.com/aisle-sim/aisle/internal/agents"
 	"github.com/aisle-sim/aisle/internal/bus"
 	"github.com/aisle-sim/aisle/internal/discovery"
 	"github.com/aisle-sim/aisle/internal/fabric"
@@ -43,8 +42,6 @@ type Config struct {
 	ZeroTrust bool
 	// SharedKnowledge wires the knowledge federation for propagation.
 	SharedKnowledge bool
-	// GossipInterval for service discovery. Zero uses the default.
-	GossipInterval sim.Time
 	// Sched tunes the federation-wide experiment scheduler. The zero
 	// value gets the scheduler defaults.
 	Sched sched.Options
@@ -63,6 +60,9 @@ type Config struct {
 	// Prof stays nil and every region costs a pointer test.
 	Prof prof.Options
 }
+
+// gossipInterval is the federation's discovery anti-entropy period.
+const gossipInterval = 60 * sim.Second
 
 // DefaultLink is a realistic lab-to-lab WAN link: 15 ms propagation, 1 ms
 // jitter, 1 Gbit/s, 0.1% loss.
@@ -102,7 +102,6 @@ type Network struct {
 	Guard     *security.Guard
 	Mesh      *fabric.Mesh
 	Knowledge *knowledge.Federation
-	Agents    *agents.Runtime
 	Workflows *workflow.Engine
 	Metrics   *telemetry.Registry
 	Sched     *sched.Scheduler
@@ -143,14 +142,11 @@ func New(cfg Config) *Network {
 
 	fab := bus.NewFabric(net)
 	dir := discovery.NewDirectory(fab, cfg.Sites)
-	// Federation-scale defaults: campaigns span virtual days, so gossip at
+	// Federation-scale gossip: campaigns span virtual days, so gossip at
 	// seconds granularity would dominate the event queue. Leases refresh on
 	// every gossip exchange, so TTL rides the interval.
-	dir.GossipInterval = 60 * sim.Second
-	if cfg.GossipInterval > 0 {
-		dir.GossipInterval = cfg.GossipInterval
-	}
-	dir.DefaultTTL = 10 * dir.GossipInterval
+	dir.GossipInterval = gossipInterval
+	dir.DefaultTTL = 10 * gossipInterval
 	mesh := fabric.NewMesh(net)
 	fed := security.NewFederation(eng)
 	pdp := &security.PDP{}
@@ -168,7 +164,6 @@ func New(cfg Config) *Network {
 		Guard:     guard,
 		Mesh:      mesh,
 		Knowledge: know,
-		Agents:    agents.NewRuntime(fab),
 		Workflows: workflow.NewEngine(eng),
 		Metrics:   telemetry.NewRegistry(),
 		Tracer:    trace.New(cfg.Trace),

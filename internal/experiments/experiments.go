@@ -25,21 +25,12 @@ import (
 type Options struct {
 	// Seed drives all randomness.
 	Seed uint64
-	// Replicas per condition. Default 5 (2 in Quick mode).
-	Replicas int
 	// Quick shrinks workloads for CI and benchmarks.
 	Quick bool
 }
 
-func (o Options) replicas() int {
-	if o.Replicas > 0 {
-		return o.Replicas
-	}
-	if o.Quick {
-		return 2
-	}
-	return 5
-}
+// replicas is the replica count per condition: 5, or 2 in Quick mode.
+func (o Options) replicas() int { return o.scale(5, 2) }
 
 // scale picks between full and quick workload sizes.
 func (o Options) scale(full, quick int) int {
@@ -132,13 +123,4 @@ func meanOf[T any](xs []T, f func(T) float64) float64 {
 		s += f(x)
 	}
 	return s / float64(len(xs))
-}
-
-// collect extracts a float per replica for Summarize.
-func collect[T any](xs []T, f func(T) float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = f(x)
-	}
-	return out
 }

@@ -83,9 +83,6 @@ type Node struct {
 	datasets map[string]*Dataset
 }
 
-// Site reports the node's site.
-func (n *Node) Site() netsim.SiteID { return n.site }
-
 // Put stores bytes content-addressed and returns a Ref.
 func (n *Node) Put(data []byte) Ref {
 	sum := sha256.Sum256(data)
@@ -225,24 +222,6 @@ func (m *Mesh) Fetch(at netsim.SiteID, ref Ref, cb func([]byte, error)) {
 	if err != nil {
 		cb(nil, fmt.Errorf("%w: %v", ErrUnreachable, err))
 	}
-}
-
-// Replicate copies an object to another site's store, returning the new Ref
-// through cb. Used for resilience and data locality.
-func (m *Mesh) Replicate(ref Ref, to netsim.SiteID, cb func(Ref, error)) {
-	dst, ok := m.nodes[to]
-	if !ok {
-		cb(Ref{}, fmt.Errorf("%w: %s", ErrNoNode, to))
-		return
-	}
-	m.Fetch(to, ref, func(data []byte, err error) {
-		if err != nil {
-			cb(Ref{}, err)
-			return
-		}
-		m.metrics.Counter("fabric.replications").Inc()
-		cb(dst.Put(data), nil)
-	})
 }
 
 // SearchResult is one discovery hit.

@@ -82,25 +82,6 @@ func TestFetchUnreachable(t *testing.T) {
 	}
 }
 
-func TestReplicate(t *testing.T) {
-	st, m := testMesh(t)
-	ref := m.Node("ornl").Put([]byte("payload"))
-	var newRef Ref
-	m.Replicate(ref, "anl", func(r Ref, err error) {
-		if err != nil {
-			t.Errorf("replicate: %v", err)
-		}
-		newRef = r
-	})
-	st.Run(t)
-	if newRef.Site != "anl" || !m.Node("anl").Has(newRef.ID) {
-		t.Fatal("replica not stored at anl")
-	}
-	if newRef.ID != ref.ID {
-		t.Fatal("content address changed during replication")
-	}
-}
-
 func TestPublishAndSearch(t *testing.T) {
 	_, m := testMesh(t)
 	n := m.Node("ornl")
@@ -197,33 +178,6 @@ func TestSchemaEvolutionIncompatible(t *testing.T) {
 		{Name: "z", Type: TypeNumber, Required: true},
 	}}); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("new required: err = %v, want ErrIncompatible", err)
-	}
-}
-
-func TestSchemaNegotiate(t *testing.T) {
-	a := &Schema{Name: "a", Fields: []Field{
-		{Name: "temp", Type: TypeNumber, Required: true},
-		{Name: "plqy", Type: TypeNumber},
-		{Name: "note", Type: TypeString},
-	}}
-	b := &Schema{Name: "b", Fields: []Field{
-		{Name: "temp", Type: TypeNumber},
-		{Name: "plqy", Type: TypeString}, // type conflict: dropped
-		{Name: "extra", Type: TypeBool},
-	}}
-	common, ok := Negotiate(a, b)
-	if !ok {
-		t.Fatal("negotiation failed")
-	}
-	if len(common.Fields) != 1 || common.Fields[0].Name != "temp" {
-		t.Fatalf("common fields = %v", common.Fields)
-	}
-	if common.Fields[0].Required {
-		t.Fatal("requiredness should be AND of both sides")
-	}
-	empty := &Schema{Name: "c", Fields: []Field{{Name: "zzz", Type: TypeBool}}}
-	if _, ok := Negotiate(a, empty); ok {
-		t.Fatal("disjoint schemas should not negotiate")
 	}
 }
 

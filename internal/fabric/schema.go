@@ -129,25 +129,6 @@ func compatible(prev, next *Schema) error {
 	return nil
 }
 
-// Negotiate computes the widest schema two parties can both handle: the
-// intersection of fields with matching types. Agents use this to exchange
-// data across institutions without manual mapping. It reports false when
-// the intersection is empty.
-func Negotiate(a, b *Schema) (Schema, bool) {
-	var out Schema
-	out.Name = a.Name + "+" + b.Name
-	for _, fa := range a.Fields {
-		fb, ok := b.Field(fa.Name)
-		if !ok || fa.Type != fb.Type {
-			continue
-		}
-		f := fa
-		f.Required = fa.Required && fb.Required
-		out.Fields = append(out.Fields, f)
-	}
-	return out, len(out.Fields) > 0
-}
-
 // Record is a loosely-typed data row validated against a schema.
 type Record map[string]any
 

@@ -139,8 +139,6 @@ type Config struct {
 	DriftPerAction float64
 	// DriftThreshold triggers auto-recalibration when |bias| exceeds it.
 	DriftThreshold float64
-	// CalibrationTime is the duration of a recalibration cycle.
-	CalibrationTime sim.Time
 	// QueueLimit bounds pending jobs; 0 means unlimited.
 	QueueLimit int
 	// Interlock optionally narrows the safe envelope below the action
@@ -186,9 +184,6 @@ func New(eng *sim.Engine, parent *rng.Stream, cfg Config) *Instrument {
 	}
 	if cfg.RepairTime == 0 {
 		cfg.RepairTime = 2 * sim.Hour
-	}
-	if cfg.CalibrationTime == 0 {
-		cfg.CalibrationTime = 30 * sim.Minute
 	}
 	if cfg.DriftThreshold == 0 {
 		cfg.DriftThreshold = 0.05
@@ -368,12 +363,15 @@ func (in *Instrument) measure(cmd Command) map[string]float64 {
 	return out
 }
 
+// calibrationTime is the duration of a recalibration cycle.
+const calibrationTime = 30 * sim.Minute
+
 // recalibrate models the automated-calibration protocol of M4: the
 // instrument takes itself offline, resets bias, and resumes.
 func (in *Instrument) recalibrate() {
 	in.state = StateCalibrating
 	in.metrics.Counter("instrument.calibrations").Inc()
-	in.eng.Schedule(in.cfg.CalibrationTime, func() {
+	in.eng.Schedule(calibrationTime, func() {
 		in.bias = 0
 		in.calCount++
 		in.resume()

@@ -112,32 +112,6 @@ func NewXRD(eng *sim.Engine, r *rng.Stream, id, site string) *Instrument {
 	})
 }
 
-// NewTEM builds a transmission electron microscope.
-func NewTEM(eng *sim.Engine, r *rng.Stream, id, site string) *Instrument {
-	return New(eng, r, Config{
-		Descriptor: Descriptor{
-			ID: id, Kind: KindTEM, Vendor: "Acme Scientific", ModelName: "NanoView",
-			Site: site,
-			Actions: []ActionSpec{{
-				Name: "image", Space: characterizationSpace(),
-				Duration: 45 * sim.Minute,
-				Outputs:  []string{"size_nm", "morphology_score"},
-			}},
-			Capabilities: map[string]float64{"resolution": 0.001, "throughput_per_hr": 1},
-		},
-		Synthesize: func(cmd Command, r *rng.Stream) map[string]float64 {
-			return map[string]float64{
-				"size_nm":          r.Range(4, 18),
-				"morphology_score": r.Range(0.3, 1.0),
-			}
-		},
-		DurationJitter: 0.2,
-		FailureProb:    0.01,
-		RepairTime:     24 * sim.Hour,
-		DriftPerAction: 0.006,
-	})
-}
-
 // NewSpectrometer builds a UV-Vis/PL spectrometer (fast characterization).
 func NewSpectrometer(eng *sim.Engine, r *rng.Stream, id, site string) *Instrument {
 	return New(eng, r, Config{

@@ -43,12 +43,15 @@ type linker struct {
 	faults    []FaultWindow
 	jobs      map[string]*jobRec
 	order     []string
-	maxJobs   int
 	untracked int // decisions for jobs past the cap (or without an ID)
 }
 
-func newLinker(maxJobs int) *linker {
-	return &linker{jobs: make(map[string]*jobRec), maxJobs: maxJobs}
+// maxTrackedJobs bounds the linker's per-job records; beyond it, new jobs
+// are counted as untracked.
+const maxTrackedJobs = 16384
+
+func newLinker() *linker {
+	return &linker{jobs: make(map[string]*jobRec)}
 }
 
 func (l *linker) addFault(w FaultWindow) {
@@ -62,7 +65,7 @@ func (l *linker) observe(d sched.Decision) {
 	}
 	rec := l.jobs[d.Job]
 	if rec == nil {
-		if d.Kind != sched.DecisionSubmit || len(l.jobs) >= l.maxJobs {
+		if d.Kind != sched.DecisionSubmit || len(l.jobs) >= maxTrackedJobs {
 			l.untracked++
 			return
 		}

@@ -57,15 +57,9 @@ type Options struct {
 	// JournalCapacity bounds the flight-recorder ring in entries.
 	// Default 4096.
 	JournalCapacity int
-	// SnapshotSpans is how many recent spans per site a snapshot captures
-	// from the tracer. Default 32.
-	SnapshotSpans int
 	// MaxSnapshots bounds retained snapshots; once full, further triggers
 	// are counted but drop no new artifacts. Default 16.
 	MaxSnapshots int
-	// MaxTrackedJobs bounds the root-cause linker's per-job records.
-	// Default 16384; beyond it, new jobs are counted as untracked.
-	MaxTrackedJobs int
 }
 
 func (o *Options) defaults() {
@@ -75,14 +69,8 @@ func (o *Options) defaults() {
 	if o.JournalCapacity <= 0 {
 		o.JournalCapacity = 4096
 	}
-	if o.SnapshotSpans <= 0 {
-		o.SnapshotSpans = 32
-	}
 	if o.MaxSnapshots <= 0 {
 		o.MaxSnapshots = 16
-	}
-	if o.MaxTrackedJobs <= 0 {
-		o.MaxTrackedJobs = 16384
 	}
 }
 
@@ -131,7 +119,7 @@ func New(eng *sim.Engine, opts Options) *Engine {
 		eng:  eng,
 		opts: opts,
 		rec:  newRecorder(opts.JournalCapacity, opts.MaxSnapshots),
-		link: newLinker(opts.MaxTrackedJobs),
+		link: newLinker(),
 	}
 	for i := range opts.SLOs {
 		e.slos = append(e.slos, newSLOState(opts.SLOs[i], opts.SamplePeriod))
@@ -327,7 +315,7 @@ func (e *Engine) Snapshot(trigger string) {
 }
 
 func (e *Engine) snapshot(now sim.Time, trigger, detail string) {
-	e.rec.snapshot(now, trigger, detail, e.tracer, e.opts.SnapshotSpans, e.Statuses())
+	e.rec.snapshot(now, trigger, detail, e.tracer, e.Statuses())
 }
 
 // Journal returns the flight recorder's current ring contents, oldest

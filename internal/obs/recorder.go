@@ -12,7 +12,7 @@ import (
 type Entry struct {
 	Seq     uint64   `json:"seq"`
 	At      sim.Time `json:"at_ns"`
-	Type    string   `json:"type"`  // "sched" | "fault" | "slo" | "alert" | "violation"
+	Type    string   `json:"type"`            // "sched" | "fault" | "slo" | "alert" | "violation"
 	Event   string   `json:"event,omitempty"` // decision/fault kind or SLO name
 	Job     string   `json:"job,omitempty"`
 	Tenant  string   `json:"tenant,omitempty"`
@@ -99,7 +99,7 @@ func (r *recorder) tail() []Entry {
 // instant with the same label coalesce into one snapshot (violation
 // storms — one per job — would otherwise exhaust the cap in one event).
 func (r *recorder) snapshot(now sim.Time, trigger, detail string,
-	tr *trace.Tracer, spanTail int, slos []SLOStatus) {
+	tr *trace.Tracer, slos []SLOStatus) {
 
 	if n := len(r.snaps); n > 0 && r.snaps[n-1].At == now && r.snaps[n-1].Trigger == trigger {
 		return
@@ -117,11 +117,15 @@ func (r *recorder) snapshot(now sim.Time, trigger, detail string,
 		SLOs:    slos,
 	}
 	if tr != nil {
-		s.Spans = recentSpans(tr, spanTail)
+		s.Spans = recentSpans(tr, snapshotSpans)
 		s.TraceDropped = tr.DroppedBySite()
 	}
 	r.snaps = append(r.snaps, s)
 }
+
+// snapshotSpans is how many recent spans per site a snapshot captures from
+// the tracer.
+const snapshotSpans = 32
 
 // recentSpans keeps the newest perSite spans of each site, preserving the
 // tracer's deterministic order (sites sorted, oldest-first within a site).

@@ -47,11 +47,6 @@ func (s *Stream) Fork(label string) *Stream {
 	return New(s.state ^ fnv1a(label) ^ 0x9e3779b97f4a7c15)
 }
 
-// ForkN derives the i-th numbered sub-stream, used for replica fan-out.
-func (s *Stream) ForkN(i int) *Stream {
-	return New(s.state ^ (uint64(i)+1)*0xbf58476d1ce4e5b9)
-}
-
 // Uint64 advances the stream (SplitMix64).
 func (s *Stream) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
@@ -72,14 +67,6 @@ func (s *Stream) Intn(n int) int {
 		panic("rng: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Int63n returns a uniform draw in [0,n) for 64-bit ranges.
-func (s *Stream) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("rng: Int63n with non-positive n")
-	}
-	return int64(s.Uint64() % uint64(n))
 }
 
 // Bool returns true with probability p.
@@ -112,30 +99,6 @@ func (s *Stream) Exponential(mean float64) float64 {
 	return -mean * math.Log(1-s.Float64())
 }
 
-// Poisson returns a Poisson draw with the given mean using Knuth's method
-// for small means and a normal approximation above 64.
-func (s *Stream) Poisson(mean float64) int {
-	if mean <= 0 {
-		return 0
-	}
-	if mean > 64 {
-		v := s.Normal(mean, math.Sqrt(mean))
-		if v < 0 {
-			return 0
-		}
-		return int(v + 0.5)
-	}
-	l := math.Exp(-mean)
-	k, p := 0, 1.0
-	for {
-		p *= s.Float64()
-		if p <= l {
-			return k
-		}
-		k++
-	}
-}
-
 // Triangular returns a draw from a triangular distribution on [lo,hi] with
 // the given mode, a convenient shape for task-duration modelling.
 func (s *Stream) Triangular(lo, mode, hi float64) float64 {
@@ -158,34 +121,6 @@ func (s *Stream) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the first n elements using swap, Fisher-Yates order.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen index weighted by weights. Weights must be
-// non-negative and not all zero.
-func (s *Stream) Pick(weights []float64) int {
-	var total float64
-	for _, w := range weights {
-		total += w
-	}
-	if total <= 0 {
-		panic("rng: Pick with non-positive total weight")
-	}
-	x := s.Float64() * total
-	for i, w := range weights {
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(weights) - 1
 }
 
 // LatinHypercube returns n samples in the d-dimensional unit cube arranged

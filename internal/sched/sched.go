@@ -123,6 +123,16 @@ type Job struct {
 	Trace trace.Context
 }
 
+const (
+	// stealThreshold is the minimum peer backlog worth stealing from.
+	stealThreshold = 2
+	// defaultEstimate is the assumed action duration for instruments that
+	// do not advertise throughput_per_hr.
+	defaultEstimate = 10 * sim.Minute
+	// retryMax caps the exponential retry backoff.
+	retryMax = 16 * sim.Minute
+)
+
 // Options tunes the scheduler. The zero value gets sane defaults.
 type Options struct {
 	// MaxInFlightPerInstrument caps jobs dispatched-but-incomplete per
@@ -133,21 +143,13 @@ type Options struct {
 	// AgingStep is the queue wait that promotes a job one priority class
 	// (starvation-free backfill). Default 30 minutes; <0 disables.
 	AgingStep sim.Time
-	// StealThreshold is the minimum peer backlog worth stealing from.
-	// Default 2.
-	StealThreshold int
 	// RepumpInterval is the background sweep that re-drives queues whose
 	// wake-up events were lost to failures. Default 1 minute.
 	RepumpInterval sim.Time
-	// DefaultEstimate is the assumed action duration for instruments that
-	// do not advertise throughput_per_hr. Default 10 minutes.
-	DefaultEstimate sim.Time
 	// RetryBase is the first retry backoff; each further attempt doubles it
 	// (plus up to 50% deterministic jitter off the scheduler's seeded
 	// stream). Default 30 seconds.
 	RetryBase sim.Time
-	// RetryMax caps the exponential backoff. Default 16 minutes.
-	RetryMax sim.Time
 	// Recover enables the in-flight recovery sweep: each RepumpInterval,
 	// jobs dispatched to an instrument that has gone down or a site that
 	// has partitioned away from their origin are pulled back into the queue
@@ -164,20 +166,11 @@ func (o *Options) defaults() {
 	if o.AgingStep == 0 {
 		o.AgingStep = 30 * sim.Minute
 	}
-	if o.StealThreshold == 0 {
-		o.StealThreshold = 2
-	}
 	if o.RepumpInterval == 0 {
 		o.RepumpInterval = sim.Minute
 	}
-	if o.DefaultEstimate == 0 {
-		o.DefaultEstimate = 10 * sim.Minute
-	}
 	if o.RetryBase == 0 {
 		o.RetryBase = 30 * sim.Second
-	}
-	if o.RetryMax == 0 {
-		o.RetryMax = 16 * sim.Minute
 	}
 }
 
@@ -875,7 +868,7 @@ func (s *Scheduler) estimate(rec *discovery.Record) sim.Time {
 	if tph := rec.Capabilities["throughput_per_hr"]; tph > 0 {
 		return sim.Time(float64(sim.Hour) / tph)
 	}
-	return s.opts.DefaultEstimate
+	return defaultEstimate
 }
 
 // rtt is the round-trip WAN latency between two sites (LAN loopback for
@@ -1094,8 +1087,8 @@ func (s *Scheduler) retry(qj *queuedJob, cause error) {
 	}
 	s.observe(DecisionRetry, qj, cause.Error())
 	backoff := s.opts.RetryBase << uint(qj.attempt-1)
-	if backoff > s.opts.RetryMax || backoff <= 0 {
-		backoff = s.opts.RetryMax
+	if backoff > retryMax || backoff <= 0 {
+		backoff = retryMax
 	}
 	backoff = sim.Time(float64(backoff) * (1 + 0.5*s.rnd.Float64()))
 	s.requeue(qj, "failure", trace.KindSchedRetry, backoff)
@@ -1228,11 +1221,11 @@ func (s *Scheduler) localSpare(ss *siteSched) bool {
 func (s *Scheduler) maybeSteal(ss *siteSched) {
 	r := s.Prof.Enter(prof.SiteSchedSteal)
 	defer r.End()
-	if s.opts.StealThreshold <= 0 || !s.localSpare(ss) {
+	if !s.localSpare(ss) {
 		return
 	}
 	var victim *siteSched
-	deepest := s.opts.StealThreshold - 1
+	deepest := stealThreshold - 1
 	for _, o := range s.order {
 		if o == ss {
 			continue

@@ -23,8 +23,8 @@ func (h refHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(*refEvent)) }
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(*refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -50,15 +50,15 @@ func TestWheelMatchesHeapOrdering(t *testing.T) {
 		delay := func() Time {
 			switch r.Intn(5) {
 			case 0:
-				return Time(r.Int63n(int64(Microsecond)))
+				return Time(r.Intn(int(Microsecond)))
 			case 1:
-				return Time(r.Int63n(int64(10 * Millisecond)))
+				return Time(r.Intn(int(10 * Millisecond)))
 			case 2:
-				return Time(r.Int63n(int64(2 * Minute)))
+				return Time(r.Intn(int(2 * Minute)))
 			case 3:
-				return Time(r.Int63n(int64(3 * Day)))
+				return Time(r.Intn(int(3 * Day)))
 			default:
-				return -Time(r.Int63n(int64(Second))) // clamped to "now"
+				return -Time(r.Intn(int(Second))) // clamped to "now"
 			}
 		}
 
@@ -147,12 +147,12 @@ func TestWheelNestedRandom(t *testing.T) {
 			}
 			for k := r.Intn(3); k > 0; k-- {
 				n++
-				e.Schedule(Time(r.Int63n(int64(Hour))), spawn)
+				e.Schedule(Time(r.Intn(int(Hour))), spawn)
 			}
 		}
 		for i := 0; i < 50; i++ {
 			n++
-			e.Schedule(Time(r.Int63n(int64(Day))), spawn)
+			e.Schedule(Time(r.Intn(int(Day))), spawn)
 		}
 		if err := e.Run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)

@@ -64,13 +64,6 @@ type Histogram struct {
 	min     float64
 	max     float64
 	buckets [histBuckets]int64
-	// recent is a preallocated ring of the latest raw observations: buckets
-	// answer quantiles, the ring answers "what exactly happened just now"
-	// for flight-recorder style readers. Fixed-size, so steady-state
-	// recording allocates nothing.
-	recent [histRingLen]float64
-	rpos   int // next ring write slot
-	rlen   int // valid entries, saturating at histRingLen
 	// prof wraps each observation in a telemetry.record region when the
 	// owning registry has a spine profiler attached; nil costs one test.
 	prof *prof.Profiler
@@ -80,7 +73,6 @@ const (
 	histMinExp        = -9.0 // 1e-9
 	histBucketsPerDec = 10
 	histBuckets       = 220 // 22 decades
-	histRingLen       = 256
 )
 
 func bucketFor(v float64) int {
@@ -123,23 +115,7 @@ func (h *Histogram) Observe(v float64) {
 	h.count++
 	h.sum += v
 	h.buckets[bucketFor(v)]++
-	h.recent[h.rpos] = v
-	h.rpos = (h.rpos + 1) % histRingLen
-	if h.rlen < histRingLen {
-		h.rlen++
-	}
 	r.End()
-}
-
-// Recent appends the ring's observations to dst in arrival order (oldest
-// first) and returns the extended slice. At most the latest 256 values are
-// retained; pass a reused buffer to read without allocating.
-func (h *Histogram) Recent(dst []float64) []float64 {
-	start := (h.rpos - h.rlen + histRingLen) % histRingLen
-	for i := 0; i < h.rlen; i++ {
-		dst = append(dst, h.recent[(start+i)%histRingLen])
-	}
-	return dst
 }
 
 // Count reports the number of observations.
@@ -329,22 +305,6 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	return r.hists[name]
 }
 
-// Names returns the sorted names of all metrics of every kind.
-func (r *Registry) Names() []string {
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // HistogramBucket is one occupied log bucket: the count of observations in
 // (previous bound, UpperBound].
 type HistogramBucket struct {
@@ -366,37 +326,6 @@ type HistogramSnapshot struct {
 	P90     float64           `json:"p90"`
 	P99     float64           `json:"p99"`
 	Buckets []HistogramBucket `json:"buckets,omitempty"`
-}
-
-// Quantile estimates the q-quantile from the snapshot's buckets with the
-// same conservative upper-bound rule as Histogram.Quantile, so a parsed
-// snapshot reconstructs the distribution the live histogram reported.
-func (hs *HistogramSnapshot) Quantile(q float64) float64 {
-	if hs.Count == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return hs.Min
-	}
-	if q >= 1 {
-		return hs.Max
-	}
-	target := int64(math.Ceil(q * float64(hs.Count)))
-	var cum int64
-	for _, b := range hs.Buckets {
-		cum += b.Count
-		if cum >= target {
-			u := b.UpperBound
-			if u > hs.Max {
-				u = hs.Max
-			}
-			if u < hs.Min {
-				u = hs.Min
-			}
-			return u
-		}
-	}
-	return hs.Max
 }
 
 // Snapshot is a consistent-per-metric view of a registry, including

@@ -200,17 +200,6 @@ func TestFormatFloat(t *testing.T) {
 	}
 }
 
-func TestRegistryNames(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("b")
-	r.Gauge("a")
-	r.Histogram("c")
-	names := r.Names()
-	if len(names) != 3 || names[0] != "a" || names[1] != "b" || names[2] != "c" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestKeyCanonicalizesLabels(t *testing.T) {
 	a := Key("sched.wait_s", "tenant", "alice", "site", "ornl")
 	b := Key("sched.wait_s", "site", "ornl", "tenant", "alice")
@@ -385,8 +374,7 @@ func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
 	if hs.Count != live.Count() || hs.Sum != h.Sum() {
 		t.Fatalf("histogram summary round-trip = %+v", hs)
 	}
-	// The exported buckets carry the full distribution: counts add up and
-	// the parsed snapshot re-derives the same conservative quantiles.
+	// The exported buckets carry the full distribution: counts add up.
 	var total int64
 	for i, bk := range hs.Buckets {
 		if bk.Count <= 0 {
@@ -400,11 +388,6 @@ func TestSnapshotRoundTripsThroughJSON(t *testing.T) {
 	if total != hs.Count {
 		t.Fatalf("bucket counts sum to %d, want %d", total, hs.Count)
 	}
-	for _, q := range []float64{0, 0.5, 0.9, 0.99, 1} {
-		if got, want := hs.Quantile(q), h.Quantile(q); got != want {
-			t.Fatalf("parsed q%.2f = %v, live = %v", q, got, want)
-		}
-	}
 }
 
 func TestFindDoesNotCreate(t *testing.T) {
@@ -416,7 +399,7 @@ func TestFindDoesNotCreate(t *testing.T) {
 	if r.FindCounter("c") != c {
 		t.Fatal("FindCounter did not return the registered counter")
 	}
-	if len(r.Names()) != 1 {
-		t.Fatalf("Find* created metrics: %v", r.Names())
+	if snap := r.Snapshot(); len(snap.Counters) != 1 || snap.Gauges != nil || snap.Histograms != nil {
+		t.Fatalf("Find* created metrics: %+v", snap)
 	}
 }

@@ -9,10 +9,8 @@ package workflow
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/aisle-sim/aisle/internal/sim"
-	"github.com/aisle-sim/aisle/internal/telemetry"
 )
 
 // Errors from workflow construction and execution.
@@ -102,9 +100,6 @@ func (s *Spec) MustAdd(t Task) {
 	}
 }
 
-// Tasks lists task IDs in insertion order.
-func (s *Spec) Tasks() []string { return append([]string(nil), s.order...) }
-
 // Validate checks references and acyclicity.
 func (s *Spec) Validate() error {
 	for _, t := range s.tasks {
@@ -178,17 +173,13 @@ func (r *Report) Makespan() sim.Time { return r.Finished - r.Started }
 
 // Engine executes workflows on a simulation engine.
 type Engine struct {
-	eng     *sim.Engine
-	metrics *telemetry.Registry
+	eng *sim.Engine
 }
 
 // NewEngine wraps a simulation engine.
 func NewEngine(eng *sim.Engine) *Engine {
-	return &Engine{eng: eng, metrics: telemetry.NewRegistry()}
+	return &Engine{eng: eng}
 }
-
-// Metrics exposes workflow telemetry.
-func (e *Engine) Metrics() *telemetry.Registry { return e.metrics }
 
 // Run executes the spec; cb receives the final report. A non-nil checkpoint
 // seeds completed tasks (resume) and is updated as tasks finish.
@@ -221,7 +212,6 @@ func (e *Engine) Run(spec *Spec, checkpoint *Checkpoint, cb func(*Report)) {
 			r.report.Results[id] = res
 		}
 	}
-	e.metrics.Counter("workflow.runs").Inc()
 	r.pump()
 }
 
@@ -309,7 +299,6 @@ func (r *run) attempt(t *Task, n int) {
 	r.report.Attempts++
 	if n > 1 {
 		r.report.Retries++
-		r.engine.metrics.Counter("workflow.retries").Inc()
 	}
 	ctx := Ctx{Attempt: n, Results: r.depResults(t), Now: r.engine.eng.Now()}
 	called := false
@@ -324,7 +313,6 @@ func (r *run) attempt(t *Task, n int) {
 			r.checkpoint.Done[t.ID] = result
 			r.report.Completed++
 			r.outstanding--
-			r.engine.metrics.Counter("workflow.tasks_done").Inc()
 			r.pump()
 			return
 		}
@@ -340,7 +328,6 @@ func (r *run) attempt(t *Task, n int) {
 		} else {
 			r.report.Statuses[t.ID] = StatusFailed
 			r.report.Failed++
-			r.engine.metrics.Counter("workflow.tasks_failed").Inc()
 		}
 		r.outstanding--
 		r.pump()
@@ -375,16 +362,4 @@ func (r *run) finish() {
 		r.report.Err = fmt.Errorf("%w: %d of %d", ErrTaskFailed, r.report.Failed, len(r.spec.tasks))
 	}
 	r.cb(r.report)
-}
-
-// FailedTasks lists failed task IDs, sorted.
-func (r *Report) FailedTasks() []string {
-	var out []string
-	for id, st := range r.Statuses {
-		if st == StatusFailed {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -148,8 +148,8 @@ func TestFailurePoisonsDependents(t *testing.T) {
 	if rep.Statuses["independent"] != StatusDone {
 		t.Fatal("independent task should still run")
 	}
-	if got := rep.FailedTasks(); len(got) != 1 || got[0] != "bad" {
-		t.Fatalf("FailedTasks = %v", got)
+	if rep.Failed != 1 {
+		t.Fatalf("failed = %d, want 1", rep.Failed)
 	}
 }
 
