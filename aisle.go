@@ -147,12 +147,12 @@ type (
 )
 
 // Observability: the continuous spine profiler. Enable with Config.Prof
-// (Enabled: true); the assembled Network.Prof then attributes virtual time,
-// wall time, and allocations to the federation's hot call-sites (sim event
-// loop, netsim delivery, bus dispatch, scheduler routing and stealing,
-// telemetry recording, knowledge merging, campaign decisions) through
-// instrumented regions, and keeps deterministic per-site ring aggregates
-// with trace-ID exemplars. Snapshot() is byte-stable across identical
+// (Enabled: true); the assembled Network.Prof then attributes region counts
+// and virtual time to the federation's hot call-sites (sim event loop,
+// netsim delivery, bus dispatch, scheduler routing and stealing, telemetry
+// recording, knowledge merging, campaign decisions) through instrumented
+// regions, and keeps deterministic per-site ring aggregates with trace-ID
+// exemplars. Snapshot() is byte-stable across identical
 // seeded runs; WriteFolded emits pprof-style folded stacks. The zero
 // ProfOptions keeps every region at a single pointer test.
 type (

@@ -278,24 +278,30 @@ func printReport(rep *aisle.CampaignReport) {
 }
 
 // spineLines renders the live spine counters for the -watch loop: the
-// health engine's subsystem totals, plus the profiler's per-call-site
-// region and sample counts when -profile wired one in.
+// subsystem totals from the spine registry, plus the profiler's
+// per-call-site region and sample counts when -profile wired one in.
 func spineLines(n *aisle.Network) string {
 	var b strings.Builder
-	p := n.Health.Profile()
+	// count reads a counter without creating it; one not yet emitted is 0.
+	count := func(name string) int64 {
+		if c := n.Metrics.FindCounter(name); c != nil {
+			return c.Value()
+		}
+		return 0
+	}
 	fmt.Fprintf(&b, "spine: sim=%d net=%d/%d bus=%d sched=%d merged=%d spans=%d(-%d)\n",
-		p.SimEvents, p.NetSent, p.NetDelivered, p.BusDelivered,
-		p.SchedDispatched, p.KnowledgeMerged, p.SpansHeld, p.SpansDropped)
+		n.Eng.Processed(), count("net.sent"), count("net.delivered"), count("bus.delivered"),
+		count("sched.dispatched"), count("knowledge.merged"), n.Tracer.Len(), n.Tracer.Dropped())
 	// The scheduler's waste ratios, from its own exact counters: how many
 	// site pumps and route probes each dispatch cost.
-	count := func(name string) float64 { return float64(n.Metrics.Counter(name).Value()) }
-	pumps, probes, d := count("sched.pumps"), count("sched.route_probes"), count("sched.dispatched")
+	pumps, probes, d := float64(count("sched.pumps")), float64(count("sched.route_probes")),
+		float64(count("sched.dispatched"))
 	fmt.Fprintf(&b, "sched: pumps=%.0f probes=%.0f dispatched=%.0f", pumps, probes, d)
 	if d > 0 {
 		fmt.Fprintf(&b, " per dispatch: pumps=%.1f probes=%.1f", pumps/d, probes/d)
 	}
 	b.WriteByte('\n')
-	for _, s := range p.Sites {
+	for _, s := range n.Prof.Counts() {
 		fmt.Fprintf(&b, "  prof %-16s count=%-8d samples=%-7d virtual=%s\n",
 			s.Site, s.Count, s.Samples, time.Duration(s.VirtualNs))
 	}

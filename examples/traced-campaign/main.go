@@ -22,8 +22,8 @@ func main() {
 		Sites:           []aisle.SiteID{"ornl", "anl"},
 		Link:            aisle.DefaultLink(),
 		SharedKnowledge: true,
-		// Tracing on, every trace sampled. Production fleets would set
-		// SampleRate to keep a deterministic subset instead.
+		// Tracing on: every span lands in a bounded per-site ring
+		// (TraceOptions.SiteCapacity), the oldest overwritten and counted.
 		Trace: aisle.TraceOptions{Enabled: true},
 	})
 	defer n.Stop()

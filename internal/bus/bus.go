@@ -109,7 +109,6 @@ type Fabric struct {
 	brokers map[netsim.SiteID]*Broker
 	nextID  uint64
 	mw      []Middleware
-	prof    *prof.Profiler
 
 	// pub/sub state shared across sites.
 	topicSubs    map[string][]subscriberRef
@@ -150,7 +149,7 @@ func NewFabric(net *netsim.Network) *Fabric {
 	f := &Fabric{
 		net:         net,
 		eng:         net.Engine(),
-		metrics:     telemetry.NewRegistry(),
+		metrics:     net.Metrics(),
 		brokers:     make(map[netsim.SiteID]*Broker),
 		DefaultSize: 256,
 	}
@@ -194,14 +193,9 @@ func (f *Fabric) releaseEnv(e *Envelope) {
 	f.envFree = e
 }
 
-// Metrics exposes bus telemetry.
+// Metrics exposes bus telemetry: the network's registry, which the bus
+// counts into.
 func (f *Fabric) Metrics() *telemetry.Registry { return f.metrics }
-
-// SetProfiler attaches the spine profiler (nil disables, the default).
-// Broker-side envelope dispatch runs under bus.dispatch, and each completed
-// RPC records its virtual latency as a bus.dispatch sample carrying the
-// call's trace ID as exemplar.
-func (f *Fabric) SetProfiler(p *prof.Profiler) { f.prof = p }
 
 // Engine exposes the simulation engine.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
@@ -319,7 +313,7 @@ func (b *Broker) RegisterFunc(name string, procTime sim.Time, fn func(*Envelope)
 // Pooled envelopes are recycled when dispatch returns, except requests —
 // those stay live until the handler responds and reply consumes them.
 func (b *Broker) deliver(env *Envelope) {
-	r := b.fabric.prof.Enter(prof.SiteBusDispatch)
+	r := b.fabric.eng.Prof.Enter(prof.SiteBusDispatch)
 	b.dispatch(env)
 	r.End()
 }
@@ -517,7 +511,7 @@ func (pc *pendingCall) complete(result any, err error) {
 		f.eng.Cancel(pc.timer)
 	}
 	wait := f.eng.Now() - pc.started
-	f.prof.Sample(prof.SiteBusDispatch, wait.Std(), pc.trace)
+	f.eng.Prof.Sample(prof.SiteBusDispatch, wait.Std(), pc.trace)
 	f.rpcLatency.Observe(wait.Seconds())
 	if err != nil {
 		f.rpcFailures.Inc()

@@ -16,14 +16,13 @@ import (
 // hooks (SetBadCreds, Poison) gate the fault kinds that need them: an event
 // whose hook is absent is counted as skipped rather than failing the run.
 type Target struct {
-	Eng *sim.Engine
+	// Net is the federation network; its engine schedules the fault
+	// windows and its registry receives chaos.injections{kind} counters.
 	Net *netsim.Network
 	// Fleets maps each site to its instrument fleet, for outage/degrade.
 	Fleets map[netsim.SiteID]*instrument.Fleet
 	// Sites is the full federation membership, for partition peer sets.
 	Sites []netsim.SiteID
-	// Metrics receives chaos.injections{kind} counters.
-	Metrics *telemetry.Registry
 	// Tracer, when non-nil, records one chaos.inject span per window.
 	Tracer *trace.Tracer
 	// SetBadCreds flips a site into (or out of) presenting forged
@@ -51,12 +50,10 @@ func Bind(n *core.Network) Target {
 		fleets[id] = n.Site(id).Fleet
 	}
 	tgt := Target{
-		Eng:     n.Eng,
-		Net:     n.Net,
-		Fleets:  fleets,
-		Sites:   n.Sites(),
-		Metrics: n.Metrics,
-		Tracer:  n.Tracer,
+		Net:    n.Net,
+		Fleets: fleets,
+		Sites:  n.Sites(),
+		Tracer: n.Tracer,
 	}
 	if h := n.Health; h != nil {
 		tgt.Observe = func(ev Event, start, end sim.Time) {
@@ -131,7 +128,7 @@ func NewInjector(tgt Target) *Injector {
 func (inj *Injector) Run(events []Event) {
 	for _, ev := range events {
 		ev := ev
-		inj.tgt.Eng.Schedule(ev.At, func() { inj.inject(ev) })
+		inj.tgt.Net.Engine().Schedule(ev.At, func() { inj.inject(ev) })
 	}
 }
 
@@ -153,20 +150,18 @@ func (inj *Injector) inject(ev Event) {
 		return
 	}
 	inj.injected++
-	now := inj.tgt.Eng.Now()
+	now := inj.tgt.Net.Engine().Now()
 	if end := now + ev.Duration; end > inj.lastHeal {
 		inj.lastHeal = end
 	}
-	if inj.tgt.Metrics != nil {
-		inj.tgt.Metrics.Counter(telemetry.Key("chaos.injections", "kind", string(ev.Kind))).Inc()
-	}
+	inj.tgt.Net.Metrics().Counter(telemetry.Key("chaos.injections", "kind", string(ev.Kind))).Inc()
 	if inj.tgt.Observe != nil {
 		inj.tgt.Observe(ev, now, now+ev.Duration)
 	}
 	sp, cc := inj.ctx.Start(now, string(ev.Site), trace.KindChaos, string(ev.Kind))
-	inj.tgt.Eng.Schedule(ev.Duration, func() {
+	inj.tgt.Net.Engine().Schedule(ev.Duration, func() {
 		restore()
-		cc.Finish(&sp, inj.tgt.Eng.Now())
+		cc.Finish(&sp, inj.tgt.Net.Engine().Now())
 	})
 }
 
@@ -212,7 +207,7 @@ func (inj *Injector) apply(ev Event) func() {
 		const bursts = 5
 		for i := 0; i < bursts; i++ {
 			site := ev.Site
-			inj.tgt.Eng.Schedule(ev.Duration*sim.Time(i)/bursts, func() {
+			inj.tgt.Net.Engine().Schedule(ev.Duration*sim.Time(i)/bursts, func() {
 				inj.tgt.Poison(site)
 			})
 		}

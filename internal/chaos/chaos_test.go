@@ -83,10 +83,7 @@ func injectorTestbed(t *testing.T) (*simtest.Stack, Target) {
 		f.Add(instrument.NewFluidicReactor(st.Eng, rnd, "flow-"+string(id), string(id), twin.Perovskite{}))
 		fleets[id] = f
 	}
-	return st, Target{
-		Eng: st.Eng, Net: st.Net, Fleets: fleets, Sites: st.Sites,
-		Metrics: telemetry.NewRegistry(),
-	}
+	return st, Target{Net: st.Net, Fleets: fleets, Sites: st.Sites}
 }
 
 func TestInjectorSiteOutageAndRestore(t *testing.T) {
@@ -112,7 +109,7 @@ func TestInjectorSiteOutageAndRestore(t *testing.T) {
 	if inj.Injected() != 1 {
 		t.Fatalf("injected = %d, want 1", inj.Injected())
 	}
-	if got := tgt.Metrics.Counter(telemetry.Key("chaos.injections", "kind", string(KindSiteOutage))).Value(); got != 1 {
+	if got := tgt.Net.Metrics().Counter(telemetry.Key("chaos.injections", "kind", string(KindSiteOutage))).Value(); got != 1 {
 		t.Fatalf("chaos.injections counter = %d, want 1", got)
 	}
 	if heal := inj.LastHeal(); heal != 11*sim.Minute {

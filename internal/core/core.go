@@ -103,8 +103,11 @@ type Network struct {
 	Mesh      *fabric.Mesh
 	Knowledge *knowledge.Federation
 	Workflows *workflow.Engine
-	Metrics   *telemetry.Registry
-	Sched     *sched.Scheduler
+	// Metrics is the spine registry (Net.Metrics()): netsim, bus,
+	// discovery, the data mesh, knowledge, the scheduler and core all
+	// count into it.
+	Metrics *telemetry.Registry
+	Sched   *sched.Scheduler
 	// Tracer records causal spans when Config.Trace enables it; nil (the
 	// default) keeps every instrumentation site on its zero-cost path.
 	Tracer *trace.Tracer
@@ -165,25 +168,20 @@ func New(cfg Config) *Network {
 		Mesh:      mesh,
 		Knowledge: know,
 		Workflows: workflow.NewEngine(eng),
-		Metrics:   telemetry.NewRegistry(),
+		Metrics:   net.Metrics(),
 		Tracer:    trace.New(cfg.Trace),
 		Prof:      prof.New(cfg.Prof),
 		sites:     make(map[netsim.SiteID]*Site),
 	}
 
-	// Spine profiler: thread the instrumented regions through every hot
-	// subsystem. The profiler only reads the virtual clock and accumulates
-	// into its own state, so the trajectory stays bit-identical.
+	// Spine profiler: every subsystem reaches it through the engine, and
+	// the spine registry records its histograms under telemetry.record. The
+	// profiler only reads the virtual clock and accumulates into its own
+	// state, so the trajectory stays bit-identical.
 	if n.Prof != nil {
 		n.Prof.SetClock(func() int64 { return int64(eng.Now()) })
 		eng.Prof = n.Prof
-		net.SetProfiler(n.Prof)
-		fab.SetProfiler(n.Prof)
-		know.SetProfiler(n.Prof)
 		n.Metrics.SetProfiler(n.Prof)
-		net.Metrics().SetProfiler(n.Prof)
-		fab.Metrics().SetProfiler(n.Prof)
-		know.Metrics().SetProfiler(n.Prof)
 	}
 
 	for _, id := range cfg.Sites {
@@ -210,7 +208,6 @@ func New(cfg Config) *Network {
 	// fleet; bindings give it each site's directory view, local fleet
 	// state, and service credential.
 	n.Sched = sched.New(eng, net, fab, n.Metrics, rnd.Fork("sched"), cfg.Sched)
-	n.Sched.Prof = n.Prof
 	for _, id := range cfg.Sites {
 		s := n.sites[id]
 		n.Sched.AddSite(sched.SiteBinding{
@@ -226,26 +223,18 @@ func New(cfg Config) *Network {
 		})
 	}
 
-	// Health engine: watch every subsystem registry, observe scheduler
-	// decisions, and start the SLO sampling ticker. The engine only reads
-	// state, so the virtual trajectory is identical with it on or off.
-	if n.Health = obs.New(eng, cfg.Health); n.Health != nil {
-		if len(cfg.Health.SLOs) == 0 {
-			names := make([]string, len(cfg.Sites))
-			for i, id := range cfg.Sites {
-				names[i] = string(id)
-			}
-			for _, s := range obs.DefaultSLOs(names) {
-				n.Health.AddSLO(s)
-			}
+	// Health engine: evaluate the default SLOs over the spine registry,
+	// observe scheduler decisions, and start the SLO sampling ticker. The
+	// engine only reads state, so the virtual trajectory is identical with
+	// it on or off.
+	if n.Health = obs.New(eng, n.Metrics, n.Tracer, cfg.Health); n.Health != nil {
+		names := make([]string, len(cfg.Sites))
+		for i, id := range cfg.Sites {
+			names[i] = string(id)
 		}
-		n.Health.Watch("core", n.Metrics)
-		n.Health.Watch("net", net.Metrics())
-		n.Health.Watch("bus", fab.Metrics())
-		n.Health.Watch("knowledge", know.Metrics())
-		n.Health.WatchTracer(n.Tracer)
-		n.Health.WatchProfiler(n.Prof)
-		n.Health.ExportTo(n.Metrics)
+		for _, s := range obs.DefaultSLOs(names) {
+			n.Health.AddSLO(s)
+		}
 		n.Sched.Observer = n.Health.ObserveDecision
 		n.Health.Start()
 	}

@@ -9,7 +9,9 @@ import (
 	"github.com/aisle-sim/aisle/internal/discovery"
 	"github.com/aisle-sim/aisle/internal/instrument"
 	"github.com/aisle-sim/aisle/internal/netsim"
+	"github.com/aisle-sim/aisle/internal/obs"
 	"github.com/aisle-sim/aisle/internal/sim"
+	"github.com/aisle-sim/aisle/internal/telemetry"
 	"github.com/aisle-sim/aisle/internal/twin"
 )
 
@@ -72,6 +74,37 @@ func TestNetworkAssembly(t *testing.T) {
 	}
 	if tok := s.ServiceToken(); tok == nil {
 		t.Fatal("zero-trust site missing service token")
+	}
+}
+
+// TestHealthSeesEverySpineSubsystem: the spine subsystems count into one
+// registry, so an SLO over any of their counters reads live values — here
+// discovery gossip rounds against bus RPC failures, neither of which the
+// scheduler or core emits.
+func TestHealthSeesEverySpineSubsystem(t *testing.T) {
+	n := New(Config{Seed: 4, Sites: threeSites, Link: DefaultLink(),
+		Health: obs.Options{Enabled: true}})
+	defer n.Stop()
+	for i, reg := range []*telemetry.Registry{n.Net.Metrics(), n.Fabric.Metrics(),
+		n.Directory.Metrics(), n.Knowledge.Metrics(), n.Mesh.Metrics()} {
+		if reg != n.Metrics {
+			t.Fatalf("registry %d of Net, Fabric, Directory, Knowledge, Mesh is not n.Metrics", i)
+		}
+	}
+	n.Health.AddSLO(obs.SLO{Name: "gossip", Metric: obs.Metric{
+		Good: []string{"discovery.gossip_rounds"}, Bad: []string{"bus.rpc.failures"}}})
+	if err := n.RunFor(5 * sim.Minute); err != nil {
+		t.Fatal(err)
+	}
+	var st *obs.SLOStatus
+	statuses := n.Health.Statuses()
+	for i := range statuses {
+		if statuses[i].Name == "gossip" {
+			st = &statuses[i]
+		}
+	}
+	if st == nil || st.Total <= 0 {
+		t.Fatalf("gossip SLO status = %+v, want a positive total", st)
 	}
 }
 

@@ -190,7 +190,7 @@ func NewDirectory(fabric *bus.Fabric, sites []netsim.SiteID) *Directory {
 	d := &Directory{
 		fabric:         fabric,
 		eng:            fabric.Engine(),
-		metrics:        telemetry.NewRegistry(),
+		metrics:        fabric.Metrics(),
 		registries:     make(map[netsim.SiteID]*Registry),
 		sites:          append([]netsim.SiteID(nil), sites...),
 		GossipInterval: 2 * sim.Second,
@@ -208,7 +208,8 @@ func NewDirectory(fabric *bus.Fabric, sites []netsim.SiteID) *Directory {
 	return d
 }
 
-// Metrics exposes discovery telemetry.
+// Metrics exposes discovery telemetry: the fabric's registry, which
+// discovery counts into.
 func (d *Directory) Metrics() *telemetry.Registry { return d.metrics }
 
 // Registry returns the registry hosted at site.

@@ -159,7 +159,7 @@ func NewMesh(net *netsim.Network) *Mesh {
 	return &Mesh{
 		net:     net,
 		eng:     net.Engine(),
-		metrics: telemetry.NewRegistry(),
+		metrics: net.Metrics(),
 		nodes:   make(map[netsim.SiteID]*Node),
 		index:   newIndex(),
 		Schemas: NewSchemaRegistry(),
@@ -167,7 +167,8 @@ func NewMesh(net *netsim.Network) *Mesh {
 	}
 }
 
-// Metrics exposes mesh telemetry.
+// Metrics exposes mesh telemetry: the network's registry, which the mesh
+// counts into.
 func (m *Mesh) Metrics() *telemetry.Registry { return m.metrics }
 
 // AddNode creates the data node for a site.

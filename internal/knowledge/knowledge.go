@@ -120,7 +120,6 @@ type Federation struct {
 	metrics *telemetry.Registry
 	syncLag *telemetry.Histogram // knowledge.sync_lag_s: publish -> merge
 	bases   map[netsim.SiteID]*Base
-	prof    *prof.Profiler
 	// Counter handles, each resolved when it first counts.
 	added, published, merged, conflicts *telemetry.Counter
 
@@ -156,7 +155,7 @@ func NewFederation(fabric *bus.Fabric, sites []netsim.SiteID, shared bool) *Fede
 	f := &Federation{
 		fabric:      fabric,
 		eng:         fabric.Engine(),
-		metrics:     telemetry.NewRegistry(),
+		metrics:     fabric.Metrics(),
 		bases:       make(map[netsim.SiteID]*Base),
 		Shared:      shared,
 		AckTimeout:  2 * sim.Second,
@@ -190,8 +189,11 @@ func NewFederation(fabric *bus.Fabric, sites []netsim.SiteID, shared bool) *Fede
 						// signal; retransmissions under loss stretch it.
 						lag := f.eng.Now() - ins.At
 						f.syncLag.Observe(lag.Seconds())
-						r := f.prof.Enter(prof.SiteKnowledgeMerge)
-						f.prof.Sample(prof.SiteKnowledgeMerge, lag.Std(), ins.Trace.TraceID())
+						// Each receiving site's vector-clock fold runs
+						// under knowledge.merge, with the sync lag sampled
+						// against the insight's trace.
+						r := f.eng.Prof.Enter(prof.SiteKnowledgeMerge)
+						f.eng.Prof.Sample(prof.SiteKnowledgeMerge, lag.Std(), ins.Trace.TraceID())
 						b.merge(ins)
 						r.End()
 					}
@@ -253,13 +255,9 @@ func (b *Base) Quarantined() []Insight {
 	return out
 }
 
-// Metrics exposes federation telemetry.
+// Metrics exposes federation telemetry: the fabric's registry, which
+// knowledge counts into.
 func (f *Federation) Metrics() *telemetry.Registry { return f.metrics }
-
-// SetProfiler attaches the spine profiler (nil disables, the default).
-// Each receiving site's vector-clock fold runs under knowledge.merge, with
-// the publish->merge sync lag sampled against the insight's trace ID.
-func (f *Federation) SetProfiler(p *prof.Profiler) { f.prof = p }
 
 // Base returns the knowledge base at a site.
 func (f *Federation) Base(site netsim.SiteID) *Base { return f.bases[site] }

@@ -126,7 +126,6 @@ type Network struct {
 	rnd     *rng.Stream
 	sites   map[SiteID]*Site
 	metrics *telemetry.Registry
-	prof    *prof.Profiler
 
 	// Hot-path state: counters and the delay histogram resolve once at
 	// construction instead of per send; arriveFn is the single prebound
@@ -203,14 +202,10 @@ func (n *Network) releaseTransit(t *transit) {
 // Engine exposes the simulation engine the network runs on.
 func (n *Network) Engine() *sim.Engine { return n.eng }
 
-// Metrics exposes the network's telemetry registry.
+// Metrics exposes the network's telemetry registry: the federation's spine
+// registry, which the bus, discovery, knowledge and the data mesh built on
+// this network count into as well.
 func (n *Network) Metrics() *telemetry.Registry { return n.metrics }
-
-// SetProfiler attaches the spine profiler (nil disables, the default).
-// Send admission runs under net.send; arrivals run under net.deliver, and
-// every admitted hop records its modeled delay as a net.deliver sample
-// carrying the message's trace ID as exemplar.
-func (n *Network) SetProfiler(p *prof.Profiler) { n.prof = p }
 
 // AddSite registers a site. Adding a duplicate ID panics: topology is
 // program-defined, so a duplicate is a programming error.
@@ -316,7 +311,7 @@ func (n *Network) Send(msg Message, deliver func(Message)) error {
 // know). It is the one admission path: msg is copied once, into the pooled
 // transit.
 func (n *Network) SendSites(src, dst *Site, msg *Message, deliver func(Message)) error {
-	r := n.prof.Enter(prof.SiteNetSend)
+	r := n.eng.Prof.Enter(prof.SiteNetSend)
 	err := n.admit(src, dst, msg, deliver)
 	r.End()
 	return err
@@ -398,7 +393,7 @@ func (n *Network) scheduleArrival(delay sim.Time, src, dst *Site, msg *Message, 
 // does synchronously) finishes.
 func (n *Network) arriveTransit(x any) {
 	t := x.(*transit)
-	r := n.prof.Enter(prof.SiteNetDeliver)
+	r := n.eng.Prof.Enter(prof.SiteNetDeliver)
 	n.arrive(t)
 	n.releaseTransit(t)
 	r.End()
@@ -423,7 +418,7 @@ func (n *Network) arrive(t *transit) {
 // is deterministic given the jitter draw), so the span is recorded
 // immediately; lost messages never reach here and leave no span.
 func (n *Network) recordHop(msg *Message, delay sim.Time) {
-	n.prof.Sample(prof.SiteNetDeliver, delay.Std(), msg.Trace.TraceID())
+	n.eng.Prof.Sample(prof.SiteNetDeliver, delay.Std(), msg.Trace.TraceID())
 	if !msg.Trace.Enabled() {
 		return
 	}

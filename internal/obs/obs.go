@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"github.com/aisle-sim/aisle/internal/prof"
 	"github.com/aisle-sim/aisle/internal/sched"
 	"github.com/aisle-sim/aisle/internal/sim"
 	"github.com/aisle-sim/aisle/internal/telemetry"
@@ -48,56 +47,33 @@ type Options struct {
 	// Enabled turns the engine on. Off (the default) keeps Config.Health
 	// free: core wires a nil *Engine and no hook fires.
 	Enabled bool
-	// SamplePeriod is the sim-time metric sampling interval. Default 15s.
-	SamplePeriod sim.Time
-	// SLOs to evaluate. Empty lets the assembler install defaults
-	// (DefaultSLOs) covering completion rate, queue wait, knowledge sync
-	// lag, and per-site queue depth.
-	SLOs []SLO
-	// JournalCapacity bounds the flight-recorder ring in entries.
-	// Default 4096.
-	JournalCapacity int
-	// MaxSnapshots bounds retained snapshots; once full, further triggers
-	// are counted but drop no new artifacts. Default 16.
-	MaxSnapshots int
 }
 
-func (o *Options) defaults() {
-	if o.SamplePeriod <= 0 {
-		o.SamplePeriod = 15 * sim.Second
-	}
-	if o.JournalCapacity <= 0 {
-		o.JournalCapacity = 4096
-	}
-	if o.MaxSnapshots <= 0 {
-		o.MaxSnapshots = 16
-	}
-}
+const (
+	// samplePeriod is the sim-time metric sampling interval.
+	samplePeriod = 15 * sim.Second
+	// journalCapacity bounds the flight-recorder ring in entries.
+	journalCapacity = 4096
+	// maxSnapshots bounds retained snapshots; once full, further triggers
+	// are counted but drop no new artifacts.
+	maxSnapshots = 16
+)
 
 // Engine is the assembled health engine. A nil *Engine is valid and
 // always-off. Every hook runs on the simulation's goroutine, so the engine
 // takes no locks; read it between engine steps.
 type Engine struct {
-	eng  *sim.Engine
-	opts Options
-
-	regs    []watchedReg
-	tracer  *trace.Tracer
-	prof    *prof.Profiler
-	derived *telemetry.Registry
+	eng    *sim.Engine
+	reg    *telemetry.Registry
+	tracer *trace.Tracer
 	// dropG caches trace.dropped{site=...} gauges per site so the sampling
-	// tick never rebuilds a labeled key; reset when derived changes.
+	// tick never rebuilds a labeled key.
 	dropG    map[string]*telemetry.Gauge
 	slos     []*sloState
 	rec      *recorder
 	link     *linker
 	alerts   []Alert
 	stopTick func()
-}
-
-type watchedReg struct {
-	name string
-	reg  *telemetry.Registry
 }
 
 // Alert is one fired burn-rate alert, resolved or still active.
@@ -109,91 +85,44 @@ type Alert struct {
 }
 
 // New builds a health engine on the sim clock, or returns nil when
-// opts.Enabled is false — callers hold and pass nil engines freely.
-func New(eng *sim.Engine, opts Options) *Engine {
+// opts.Enabled is false — callers hold and pass nil engines freely. SLO
+// metric names resolve against reg, which also receives the engine's
+// derived gauges: the tracer's per-site span-drop counts
+// (trace.dropped{site=...}). Snapshots capture the tracer's recent spans;
+// a nil tracer is fine.
+func New(eng *sim.Engine, reg *telemetry.Registry, tracer *trace.Tracer, opts Options) *Engine {
 	if !opts.Enabled {
 		return nil
 	}
-	opts.defaults()
-	e := &Engine{
-		eng:  eng,
-		opts: opts,
-		rec:  newRecorder(opts.JournalCapacity, opts.MaxSnapshots),
-		link: newLinker(),
+	return &Engine{
+		eng:    eng,
+		reg:    reg,
+		tracer: tracer,
+		rec:    newRecorder(journalCapacity, maxSnapshots),
+		link:   newLinker(),
 	}
-	for i := range opts.SLOs {
-		e.slos = append(e.slos, newSLOState(opts.SLOs[i], opts.SamplePeriod))
-	}
-	return e
 }
 
-// AddSLO registers one more SLO before Start. Used by the assembler to
-// install defaults when Options.SLOs was empty.
+// AddSLO registers one more SLO before Start.
 func (e *Engine) AddSLO(s SLO) {
 	if e == nil {
 		return
 	}
-	e.slos = append(e.slos, newSLOState(s, e.opts.SamplePeriod))
+	e.slos = append(e.slos, newSLOState(s, samplePeriod))
 }
 
-// Watch registers a metric registry under a subsystem name. SLO metric
-// references resolve against every watched registry (first match wins, in
-// registration order); the spine profile reads per-subsystem event
-// counters from them.
-func (e *Engine) Watch(name string, reg *telemetry.Registry) {
-	if e == nil || reg == nil {
-		return
-	}
-	e.regs = append(e.regs, watchedReg{name: name, reg: reg})
-}
-
-// WatchTracer hands the engine the federation tracer, so snapshots can
-// capture recent spans and per-site drop counts. A nil tracer is fine.
-func (e *Engine) WatchTracer(t *trace.Tracer) {
-	if e == nil {
-		return
-	}
-	e.tracer = t
-}
-
-// WatchProfiler hands the engine the spine profiler, so Profile() carries
-// live per-call-site region counters alongside the subsystem event counts.
-// A nil profiler is fine.
-func (e *Engine) WatchProfiler(p *prof.Profiler) {
-	if e == nil {
-		return
-	}
-	e.prof = p
-}
-
-// ExportTo names the registry that receives the engine's derived gauges —
-// today the per-site trace-drop counts (trace.dropped{site=...}), which the
-// tracer records internally but which never reached a Registry.Snapshot
-// before. The assembler points this at the core registry so the gauges ride
-// every snapshot and SLO evaluation.
-func (e *Engine) ExportTo(reg *telemetry.Registry) {
-	if e == nil {
-		return
-	}
-	e.derived = reg
-	e.dropG = nil
-}
-
-// exportTraceDrops publishes the tracer's per-site span-drop counts
-// as labeled gauges on the export registry. It visits the counts in place
-// (no map per health sample), so gauges are created in site order rather
-// than map order; nothing is created until the first drop.
+// exportTraceDrops publishes the tracer's per-site span-drop counts as
+// labeled gauges on the registry. It visits the counts in place (no map per
+// health sample), so gauges are created in site order rather than map
+// order; nothing is created until the first drop.
 func (e *Engine) exportTraceDrops() {
-	if e.derived == nil || e.tracer == nil {
-		return
-	}
 	e.tracer.EachDropped(func(site string, n uint64) {
 		g, ok := e.dropG[site]
 		if !ok {
 			if e.dropG == nil {
 				e.dropG = make(map[string]*telemetry.Gauge)
 			}
-			g = e.derived.Gauge(telemetry.Key("trace.dropped", "site", site))
+			g = e.reg.Gauge(telemetry.Key("trace.dropped", "site", site))
 			e.dropG[site] = g
 		}
 		g.Set(float64(n))
@@ -205,7 +134,7 @@ func (e *Engine) Start() {
 	if e == nil || e.stopTick != nil {
 		return
 	}
-	e.stopTick = e.eng.Ticker(e.opts.SamplePeriod, func(int) { e.Sample() })
+	e.stopTick = e.eng.Ticker(samplePeriod, func(int) { e.Sample() })
 }
 
 // Stop cancels the sampling ticker so the event queue can drain.
@@ -228,7 +157,7 @@ func (e *Engine) Sample() {
 	now := e.eng.Now()
 	e.exportTraceDrops()
 	for _, st := range e.slos {
-		badDelta := st.sample(now, e.regs)
+		badDelta := st.sample(now, e.reg)
 		if badDelta > 0 {
 			e.rec.add(Entry{At: now, Type: "slo", Event: st.slo.Name,
 				Reason: "bad-events", Value: badDelta})
@@ -420,57 +349,4 @@ func (e *Engine) Table() *telemetry.Table {
 			trimFloat(s.Total), fast, slow, state)
 	}
 	return t
-}
-
-// SpineProfile is the per-subsystem event-count profile of the simulation
-// spine: which layer generates the event and message volume a run pays for.
-type SpineProfile struct {
-	SimEvents       uint64 `json:"sim_events"`
-	NetSent         int64  `json:"net_sent"`
-	NetDelivered    int64  `json:"net_delivered"`
-	NetBytes        int64  `json:"net_bytes"`
-	BusDelivered    int64  `json:"bus_delivered"`
-	BusRPCCalls     int64  `json:"bus_rpc_calls"`
-	BusPublished    int64  `json:"bus_published"`
-	SchedDispatched int64  `json:"sched_dispatched"`
-	KnowledgeMerged int64  `json:"knowledge_merged"`
-	SpansHeld       int    `json:"spans_held"`
-	SpansDropped    uint64 `json:"spans_dropped"`
-	// Sites carries the continuous profiler's per-call-site counters when a
-	// profiler is watched (WatchProfiler); absent otherwise.
-	Sites []prof.SiteCount `json:"sites,omitempty"`
-}
-
-// Profile reads the spine profile from the watched registries. Counter
-// names missing from every registry read as zero.
-func (e *Engine) Profile() SpineProfile {
-	if e == nil {
-		return SpineProfile{}
-	}
-	p := SpineProfile{
-		SimEvents:       e.eng.Processed(),
-		NetSent:         e.findCounter("net.sent"),
-		NetDelivered:    e.findCounter("net.delivered"),
-		NetBytes:        e.findCounter("net.bytes_sent"),
-		BusDelivered:    e.findCounter("bus.delivered"),
-		BusRPCCalls:     e.findCounter("bus.rpc.calls"),
-		BusPublished:    e.findCounter("bus.pub.published"),
-		SchedDispatched: e.findCounter("sched.dispatched"),
-		KnowledgeMerged: e.findCounter("knowledge.merged"),
-	}
-	if e.tracer != nil {
-		p.SpansHeld = e.tracer.Len()
-		p.SpansDropped = e.tracer.Dropped()
-	}
-	p.Sites = e.prof.Counts()
-	return p
-}
-
-func (e *Engine) findCounter(name string) int64 {
-	for _, wr := range e.regs {
-		if c := wr.reg.FindCounter(name); c != nil {
-			return c.Value()
-		}
-	}
-	return 0
 }

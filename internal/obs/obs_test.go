@@ -5,26 +5,32 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/aisle-sim/aisle/internal/prof"
 	"github.com/aisle-sim/aisle/internal/sched"
 	"github.com/aisle-sim/aisle/internal/sim"
 	"github.com/aisle-sim/aisle/internal/telemetry"
 	"github.com/aisle-sim/aisle/internal/trace"
 )
 
-// newTestEngine assembles an enabled engine over one registry with a single
-// ratio SLO and a tight alerting policy, returning the pieces tests drive
-// by hand (no ticker; tests call Sample at the instants they choose).
-func newTestEngine(t *testing.T, slo SLO) (*Engine, *sim.Engine, *telemetry.Registry) {
+// newTestEngine assembles an enabled engine over one registry and tracer
+// with a single SLO, returning the pieces tests drive by hand (no ticker;
+// tests call Sample at the instants they choose).
+func newTestEngine(t *testing.T, slo SLO, tr *trace.Tracer) (*Engine, *sim.Engine, *telemetry.Registry) {
 	t.Helper()
 	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true, SamplePeriod: 15 * sim.Second, SLOs: []SLO{slo}})
+	reg := telemetry.NewRegistry()
+	e := New(eng, reg, tr, Options{Enabled: true})
 	if e == nil {
 		t.Fatal("New returned nil for an enabled config")
 	}
-	reg := telemetry.NewRegistry()
-	e.Watch("test", reg)
+	e.AddSLO(slo)
 	return e, eng, reg
+}
+
+// newBareEngine is an enabled engine with no SLO, registry or tracer, for
+// tests that drive only the journal, the snapshots or the linker.
+func newBareEngine() (*Engine, *sim.Engine) {
+	eng := sim.NewEngine()
+	return New(eng, nil, nil, Options{Enabled: true}), eng
 }
 
 func ratioSLO() SLO {
@@ -37,13 +43,13 @@ func ratioSLO() SLO {
 }
 
 func TestDisabledEngineIsNil(t *testing.T) {
-	if e := New(sim.NewEngine(), Options{}); e != nil {
+	if e := New(sim.NewEngine(), telemetry.NewRegistry(), nil, Options{}); e != nil {
 		t.Fatalf("New with Enabled=false returned %v, want nil", e)
 	}
 }
 
 func TestBurnRateFiresAndResolves(t *testing.T) {
-	e, eng, reg := newTestEngine(t, ratioSLO())
+	e, eng, reg := newTestEngine(t, ratioSLO(), nil)
 	good, bad := reg.Counter("good"), reg.Counter("bad")
 
 	// Healthy traffic: 10 good events per tick for 8 ticks.
@@ -103,7 +109,7 @@ func TestBurnWindowShorterThanOneSample(t *testing.T) {
 	// tick instead of rounding down to an empty interval.
 	slo := ratioSLO()
 	slo.Windows = []BurnWindow{{Short: sim.Second, Long: 2 * sim.Second, Burn: 2}}
-	e, eng, reg := newTestEngine(t, slo)
+	e, eng, reg := newTestEngine(t, slo, nil)
 	good, bad := reg.Counter("good"), reg.Counter("bad")
 
 	good.Add(10)
@@ -131,7 +137,7 @@ func TestBurnClampsToHistoryAtClockStart(t *testing.T) {
 	// zero, the very second sample can already alert.
 	slo := ratioSLO()
 	slo.Windows = []BurnWindow{{Short: sim.Hour, Long: 3 * sim.Hour, Burn: 2}}
-	e, eng, reg := newTestEngine(t, slo)
+	e, eng, reg := newTestEngine(t, slo, nil)
 	bad := reg.Counter("bad")
 
 	if e.Sample(); e.Statuses()[0].Alerting {
@@ -154,7 +160,7 @@ func TestGaugeSLOCountsTickVerdicts(t *testing.T) {
 		Objective: 0.5,
 		Windows:   []BurnWindow{{Short: 30 * sim.Second, Long: 60 * sim.Second, Burn: 1.5}},
 	}
-	e, eng, reg := newTestEngine(t, slo)
+	e, eng, reg := newTestEngine(t, slo, nil)
 	g := reg.Gauge("queue_depth")
 
 	g.Set(2) // within bound: healthy ticks
@@ -185,7 +191,7 @@ func TestLazyMetricResolution(t *testing.T) {
 		Objective: 0.9,
 		Windows:   []BurnWindow{{Short: 30 * sim.Second, Long: 60 * sim.Second, Burn: 2}},
 	}
-	e, eng, reg := newTestEngine(t, slo)
+	e, eng, reg := newTestEngine(t, slo, nil)
 	eng.Schedule(15*sim.Second, e.Sample)
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -204,8 +210,8 @@ func TestLazyMetricResolution(t *testing.T) {
 }
 
 func TestJournalRingBounded(t *testing.T) {
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true, JournalCapacity: 8})
+	e, _ := newBareEngine()
+	e.rec = newRecorder(8, maxSnapshots)
 	for i := 0; i < 20; i++ {
 		e.ObserveDecision(sched.Decision{Kind: sched.DecisionSubmit, Job: "job", At: sim.Time(i)})
 	}
@@ -224,8 +230,8 @@ func TestJournalRingBounded(t *testing.T) {
 }
 
 func TestSnapshotCoalescingAndCap(t *testing.T) {
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true, MaxSnapshots: 3})
+	e, eng := newBareEngine()
+	e.rec = newRecorder(journalCapacity, 3)
 	// A violation storm at one instant coalesces into one snapshot.
 	for i := 0; i < 5; i++ {
 		e.ObserveViolation("dup terminal")
@@ -242,7 +248,7 @@ func TestSnapshotCoalescingAndCap(t *testing.T) {
 	}
 	snaps := e.Snapshots()
 	if len(snaps) != 3 {
-		t.Fatalf("retained %d snapshots, want MaxSnapshots=3", len(snaps))
+		t.Fatalf("retained %d snapshots, want the cap of 3", len(snaps))
 	}
 	if e.rec.skipped != 3 {
 		t.Fatalf("skipped = %d, want 3 (two capped manuals + none coalesced)", e.rec.skipped)
@@ -250,8 +256,7 @@ func TestSnapshotCoalescingAndCap(t *testing.T) {
 }
 
 func TestLinkerAttributesOverlappingFault(t *testing.T) {
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true})
+	e, _ := newBareEngine()
 	e.ObserveFault(FaultWindow{Kind: "site-outage", Site: "ornl",
 		Start: 10 * sim.Second, End: 60 * sim.Second})
 	d := sched.Decision{Kind: sched.DecisionSubmit, Job: "j1", Tenant: "t",
@@ -287,8 +292,7 @@ func TestLinkerAttributesOverlappingFault(t *testing.T) {
 func TestLinkerClassifiesBackgroundNoise(t *testing.T) {
 	// A retry with no fault window active anywhere is intrinsic instrument
 	// noise: not attributed, and excluded from the coverage denominator.
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true})
+	e, _ := newBareEngine()
 	e.ObserveFault(FaultWindow{Kind: "degrade", Site: "ornl",
 		Start: sim.Hour, End: 2 * sim.Hour})
 	d := sched.Decision{Kind: sched.DecisionSubmit, Job: "j1", Origin: "anl", At: sim.Second}
@@ -313,8 +317,7 @@ func TestLinkerClassifiesBackgroundNoise(t *testing.T) {
 func TestLinkerTerminalFallbackToLifetime(t *testing.T) {
 	// A job stranded by an outage can expire long after the window healed;
 	// the terminal event falls back to the job's lifetime for attribution.
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true})
+	e, _ := newBareEngine()
 	e.ObserveFault(FaultWindow{Kind: "site-outage", Site: "ornl",
 		Start: 10 * sim.Second, End: 30 * sim.Second})
 	d := sched.Decision{Kind: sched.DecisionSubmit, Job: "j1", Origin: "ornl", At: 15 * sim.Second}
@@ -341,8 +344,7 @@ func TestLinkerAttributesQueueStarvationAcrossSites(t *testing.T) {
 	// A job that never dispatched starved in queue: the capability it
 	// waited on may live at another site entirely, so the site filter is
 	// waived and the overlapping outage — wherever it is — gets the blame.
-	eng := sim.NewEngine()
-	e := New(eng, Options{Enabled: true})
+	e, _ := newBareEngine()
 	e.ObserveFault(FaultWindow{Kind: "site-outage", Site: "ornl",
 		Start: 10 * sim.Second, End: sim.Hour})
 	d := sched.Decision{Kind: sched.DecisionSubmit, Job: "j1", Origin: "anl", At: 20 * sim.Second}
@@ -362,8 +364,7 @@ func TestLinkerAttributesQueueStarvationAcrossSites(t *testing.T) {
 
 func TestSnapshotJSONByteStable(t *testing.T) {
 	build := func() *Engine {
-		eng := sim.NewEngine()
-		e := New(eng, Options{Enabled: true})
+		e, _ := newBareEngine()
 		e.ObserveFault(FaultWindow{Kind: "partition", Site: "anl",
 			Start: sim.Second, End: sim.Minute})
 		for i := 0; i < 3; i++ {
@@ -438,14 +439,12 @@ func TestDefaultSLOsCoverTheFederationSignals(t *testing.T) {
 }
 
 // TestTraceDropGaugesSurfaceInSnapshot closes the gap where the tracer's
-// per-site span-drop counters lived only on the Tracer: after ExportTo,
-// every Sample publishes them as trace.dropped{site=...} gauges, so they
-// ride Registry.Snapshot like any other labeled metric.
+// per-site span-drop counters lived only on the Tracer: every Sample
+// publishes them on the engine's registry as trace.dropped{site=...}
+// gauges, so they ride Registry.Snapshot like any other labeled metric.
 func TestTraceDropGaugesSurfaceInSnapshot(t *testing.T) {
-	e, eng, reg := newTestEngine(t, ratioSLO())
 	tr := trace.New(trace.Options{Enabled: true, SiteCapacity: 2})
-	e.WatchTracer(tr)
-	e.ExportTo(reg)
+	e, eng, reg := newTestEngine(t, ratioSLO(), tr)
 
 	// Overflow the ornl ring: 5 spans into a capacity-2 ring drops 3.
 	ctx := tr.Root(1)
@@ -482,32 +481,5 @@ func TestTraceDropGaugesSurfaceInSnapshot(t *testing.T) {
 	e.Sample()
 	if got := reg.FindGauge(key).Value(); got != 5 {
 		t.Fatalf("after more drops %s = %v, want 5", key, got)
-	}
-}
-
-// TestProfileCarriesProfilerSites: SpineProfile extends into per-call-site
-// region counters when a profiler is watched, and omits them otherwise.
-func TestProfileCarriesProfilerSites(t *testing.T) {
-	e, _, _ := newTestEngine(t, ratioSLO())
-	if got := e.Profile().Sites; got != nil {
-		t.Fatalf("unwatched engine reported profiler sites: %v", got)
-	}
-	p := prof.New(prof.Options{Enabled: true})
-	r := p.Enter(prof.SiteSimEvent)
-	r.End()
-	p.Sample(prof.SiteNetDeliver, sim.Second.Std(), 7)
-	e.WatchProfiler(p)
-	sites := e.Profile().Sites
-	var simEvents, deliverSamples uint64
-	for _, s := range sites {
-		switch s.Site {
-		case "sim.event":
-			simEvents = s.Count
-		case "net.deliver":
-			deliverSamples = s.Samples
-		}
-	}
-	if simEvents != 1 || deliverSamples != 1 {
-		t.Fatalf("profiler counters not surfaced: %+v", sites)
 	}
 }

@@ -18,7 +18,7 @@ import (
 //   - Bound: Gauge names a gauge and Bound caps it; the SLI is the
 //     fraction of sample ticks on which the gauge was at or below Bound.
 //
-// Names are resolved lazily against every watched registry, so declaring
+// Names are resolved lazily against the engine's registry, so declaring
 // an SLO over a metric its subsystem has not emitted yet is fine — the
 // series contributes zero until it appears.
 type Metric struct {
@@ -109,7 +109,7 @@ type sloState struct {
 	slo    SLO
 	period sim.Time
 
-	// Resolved metric handles, filled lazily from the watched registries.
+	// Resolved metric handles, filled lazily from the registry.
 	good, bad []*telemetry.Counter
 	hist      *telemetry.Histogram
 	gauge     *telemetry.Gauge
@@ -160,7 +160,7 @@ func newSLOState(s SLO, period sim.Time) *sloState {
 // resolve binds metric names to live handles. Unresolved names are retried
 // every tick (two map reads each) until the subsystem creates them; once
 // everything referenced exists the resolution is cached.
-func (st *sloState) resolve(regs []watchedReg) {
+func (st *sloState) resolve(reg *telemetry.Registry) {
 	if st.resolved {
 		return
 	}
@@ -175,7 +175,7 @@ func (st *sloState) resolve(regs []watchedReg) {
 		}
 		for i, name := range m.Good {
 			if st.good[i] == nil {
-				st.good[i] = findCounterIn(regs, name)
+				st.good[i] = reg.FindCounter(name)
 				if st.good[i] == nil {
 					missing = true
 				}
@@ -183,7 +183,7 @@ func (st *sloState) resolve(regs []watchedReg) {
 		}
 		for i, name := range m.Bad {
 			if st.bad[i] == nil {
-				st.bad[i] = findCounterIn(regs, name)
+				st.bad[i] = reg.FindCounter(name)
 				if st.bad[i] == nil {
 					missing = true
 				}
@@ -191,13 +191,13 @@ func (st *sloState) resolve(regs []watchedReg) {
 		}
 	}
 	if m.Hist != "" && st.hist == nil {
-		st.hist = findHistogramIn(regs, m.Hist)
+		st.hist = reg.FindHistogram(m.Hist)
 		if st.hist == nil {
 			missing = true
 		}
 	}
 	if m.Gauge != "" && st.gauge == nil {
-		st.gauge = findGaugeIn(regs, m.Gauge)
+		st.gauge = reg.FindGauge(m.Gauge)
 		if st.gauge == nil {
 			missing = true
 		}
@@ -205,38 +205,11 @@ func (st *sloState) resolve(regs []watchedReg) {
 	st.resolved = !missing
 }
 
-func findCounterIn(regs []watchedReg, name string) *telemetry.Counter {
-	for _, wr := range regs {
-		if c := wr.reg.FindCounter(name); c != nil {
-			return c
-		}
-	}
-	return nil
-}
-
-func findGaugeIn(regs []watchedReg, name string) *telemetry.Gauge {
-	for _, wr := range regs {
-		if g := wr.reg.FindGauge(name); g != nil {
-			return g
-		}
-	}
-	return nil
-}
-
-func findHistogramIn(regs []watchedReg, name string) *telemetry.Histogram {
-	for _, wr := range regs {
-		if h := wr.reg.FindHistogram(name); h != nil {
-			return h
-		}
-	}
-	return nil
-}
-
 // sample reads the cumulative (good, total) counts now and pushes them
 // onto the ring. It returns the tick's bad-event delta, which the engine
 // journals when non-zero.
-func (st *sloState) sample(now sim.Time, regs []watchedReg) float64 {
-	st.resolve(regs)
+func (st *sloState) sample(now sim.Time, reg *telemetry.Registry) float64 {
+	st.resolve(reg)
 	var cur cumSample
 	m := &st.slo.Metric
 	switch {

@@ -49,8 +49,7 @@ type WindowJSON struct {
 }
 
 // Profile is the deterministic snapshot: identical bytes for identical
-// fixed-seed runs, with or without wall-clock noise. Wall time and
-// allocation estimates are deliberately absent — see Measured.
+// fixed-seed runs.
 type Profile struct {
 	Schema   string       `json:"schema"`
 	WindowNs int64        `json:"window_ns"`
@@ -148,29 +147,21 @@ func (p *Profiler) WriteJSON(w io.Writer) error {
 // Weight selects the folded-stack weight column.
 type Weight int
 
-// Folded weight modes. Count and virtual are deterministic; wall is the
-// run's measured wall nanoseconds (the column flamegraph tooling usually
-// wants, and the one the CI perf lane uploads).
+// Folded weight modes, both deterministic.
 const (
 	WeightCount Weight = iota
 	WeightVirtual
-	WeightWall
 )
 
 // WriteFolded writes pprof-compatible folded stacks ("a;b;c <weight>", one
-// line per region path). Deterministic for WeightCount and WeightVirtual.
+// line per region path).
 func (p *Profiler) WriteFolded(w io.Writer, weight Weight) error {
 	bw := bufio.NewWriter(w)
 	if p != nil {
 		for _, n := range p.paths() {
-			var v uint64
-			switch weight {
-			case WeightVirtual:
+			v := n.count
+			if weight == WeightVirtual {
 				v = uint64(n.virtual)
-			case WeightWall:
-				v = uint64(n.estWall())
-			default:
-				v = n.count
 			}
 			if _, err := fmt.Fprintf(bw, "%s %d\n", n.stack, v); err != nil {
 				return err
@@ -178,87 +169,4 @@ func (p *Profiler) WriteFolded(w io.Writer, weight Weight) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// SiteMeasured is the run-dependent overlay for one call-site: wall time
-// and allocation estimates. Never part of the deterministic profile.
-// Top-level wall is exact; nested wall and allocations are measured inside
-// every AllocSampleStride-th top-level tree and scaled by each path's
-// count ÷ measured count. A path's self-wall is its wall estimate less its
-// children's.
-type SiteMeasured struct {
-	Site       string `json:"site"`
-	Subsystem  string `json:"subsystem"`
-	WallNs     int64  `json:"wall_ns"`
-	SelfWallNs int64  `json:"self_wall_ns"`
-	AllocObjs  uint64 `json:"alloc_objects_est,omitempty"`
-	AllocBytes uint64 `json:"alloc_bytes_est,omitempty"`
-}
-
-// Measured returns the wall/alloc overlay in site order, skipping sites
-// that never fired: each site sums the estimates of its paths. Nil on the
-// disabled profiler.
-func (p *Profiler) Measured() []SiteMeasured {
-	if p == nil {
-		return nil
-	}
-	var by [numSites]SiteMeasured
-	var count [numSites]uint64
-	p.root.each(func(n *node) {
-		count[n.site] += n.count
-		m := &by[n.site]
-		wall := n.estWall()
-		self := wall
-		for _, c := range n.child {
-			if c != nil {
-				self -= c.estWall()
-			}
-		}
-		m.WallNs += wall
-		m.SelfWallNs += max(self, 0)
-		m.AllocObjs += scale(n.allocObjs, n.count, n.sampled)
-		m.AllocBytes += scale(n.allocBytes, n.count, n.sampled)
-	})
-	out := make([]SiteMeasured, 0, numSites)
-	for s := Site(0); s < numSites; s++ {
-		if count[s] == 0 {
-			continue
-		}
-		m := by[s]
-		m.Site, m.Subsystem = s.String(), s.Subsystem()
-		out = append(out, m)
-	}
-	return out
-}
-
-// estWall is the path's wall estimate, exact where every entry was timed.
-func (n *node) estWall() int64 { return int64(scale(uint64(n.wall), n.count, n.timed)) }
-
-// scale estimates a sum over count entries from its sum x over the
-// measured of them: x·count/measured, exactly x when every entry was
-// measured and 0 when none was.
-func scale(x, count, measured uint64) uint64 {
-	if measured == 0 {
-		return 0
-	}
-	if measured == count {
-		return x
-	}
-	return uint64(float64(x) * float64(count) / float64(measured))
-}
-
-// TotalWallNs is the exact wall time of all top-level regions — in the
-// wired spine, the sim event loop — i.e. the profiler's coverage
-// numerator.
-func (p *Profiler) TotalWallNs() int64 {
-	if p == nil {
-		return 0
-	}
-	var total int64
-	for _, n := range p.root.child {
-		if n != nil {
-			total += n.wall
-		}
-	}
-	return total
 }

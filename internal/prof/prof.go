@@ -1,8 +1,8 @@
 // Package prof is a sim-clock-native continuous profiler for the federation
-// spine. It attributes wall time, virtual time, and (sampled) allocations to
-// a fixed set of instrumented call-sites threaded through the hot packages —
-// the sim event loop, netsim delivery, bus dispatch, scheduler routing and
-// stealing, telemetry recording, and knowledge merging.
+// spine. It attributes region counts and virtual time to a fixed set of
+// instrumented call-sites threaded through the hot packages — the sim event
+// loop, netsim delivery, bus dispatch, scheduler routing and stealing,
+// telemetry recording, and knowledge merging.
 //
 // Design rules, in the spirit of internal/trace and internal/obs:
 //
@@ -12,18 +12,11 @@
 //   - The profiler only observes. It never schedules events, draws
 //     randomness, or mutates spine state, so a fixed-seed run's virtual
 //     trajectory is bit-identical with profiling on or off.
-//   - Everything keyed by the virtual clock — region counts, virtual-time
-//     attributions, duration histograms, exemplars, and the windowed ring —
-//     is deterministic for a fixed seed and exported as byte-stable JSON and
-//     pprof-compatible folded stacks. Wall time and allocation estimates are
-//     inherently run-dependent and live in a separate "measured" overlay
-//     that the deterministic exports never touch.
-//   - The overlay is sampled by region tree. Every top-level region (the
-//     sim event in the wired spine) has its exact wall time; nested wall
-//     and allocations are measured only inside every 64th top-level tree
-//     (Options.AllocSampleStride) and scaled by each path's count ÷
-//     measured count, so a region outside a sampled tree reads no clock.
-//     A path's self-wall is its wall estimate less its children's.
+//   - Everything it keeps is keyed by the virtual clock — region counts,
+//     virtual-time attributions, duration histograms, exemplars, and the
+//     windowed ring — so it is deterministic for a fixed seed and exported
+//     as byte-stable JSON and pprof-compatible folded stacks. It reads no
+//     wall clock; host time is the CPU profiler's job.
 //   - Region stack paths form a trie: each open frame holds its path node
 //     and a nested region's node is its parent's child at that site, so
 //     entering and leaving a region does no lookup.
@@ -31,13 +24,12 @@
 //     goroutine-safe and needs no atomics or locks on the hot path.
 //
 // Histogram buckets carry trace-ID exemplars: the slowest sample in each
-// bucket remembers its causal trace (PR 3), so a slow bucket links straight
-// to its span tree and any flight-recorder snapshot (PR 8) holding it.
+// bucket remembers its causal trace, so a slow bucket links straight to its
+// span tree and any flight-recorder snapshot holding it.
 package prof
 
 import (
 	"math/bits"
-	"runtime/metrics"
 	"time"
 )
 
@@ -47,8 +39,7 @@ type Site uint8
 
 // Instrumented call-sites, one per spine hot path.
 const (
-	// SiteSimEvent wraps every event callback in the sim loop. Its total
-	// wall time is the denominator for subsystem attribution: everything
+	// SiteSimEvent wraps every event callback in the sim loop: everything
 	// the federation does happens inside an event.
 	SiteSimEvent Site = iota
 	// SiteNetSend is netsim admission: metrics, serialization, hop setup.
@@ -114,24 +105,15 @@ type Options struct {
 	// disabled profiler — and every instrumented region costs two nil
 	// checks and nothing else.
 	Enabled bool
-	// Window is the virtual width of one ring window (default 5 minutes of
-	// sim time). The ring gives -watch its recent-rate view and keeps the
-	// "continuous" in continuous profiler bounded.
-	Window time.Duration
-	// Windows is the ring capacity (default 32).
-	Windows int
-	// AllocSampleStride is the measured overlay's stride: nested regions
-	// are timed, and heap-allocation deltas read via runtime/metrics, only
-	// inside every Nth top-level region tree, and the estimates are scaled
-	// back up. Top-level regions are always timed. 0 uses the default (64);
-	// negative keeps the default stride and disables allocation reads.
-	AllocSampleStride int
 }
 
 const (
-	defaultWindow  = 5 * time.Minute
+	// defaultWindow is the virtual width of one ring window. The ring gives
+	// -watch its recent-rate view and keeps the "continuous" in continuous
+	// profiler bounded.
+	defaultWindow = 5 * time.Minute
+	// defaultWindows is the ring capacity.
 	defaultWindows = 32
-	defaultStride  = 64
 	// maxDepth bounds the region stack. The spine nests regions about five
 	// deep (sim.event > bus.dispatch > sched.route > telemetry.record);
 	// overflow is counted and skipped rather than grown.
@@ -165,26 +147,12 @@ type node struct {
 	child   [numSites]*node
 	count   uint64 // region entries on this path
 	virtual int64  // their virtual deltas, ns
-
-	// The measured overlay: sums over the entries that were measured, which
-	// the exports scale by count ÷ measured count. Wall is read on every
-	// top-level entry and on nested entries of sampled trees; allocations
-	// only inside sampled trees.
-	timed      uint64 // entries whose wall was read
-	wall       int64
-	sampled    uint64 // entries inside a sampled tree
-	allocObjs  uint64
-	allocBytes uint64
 }
 
 // frame is one open region on the stack.
 type frame struct {
 	node      *node
 	startVirt int64
-	startWall int64
-	startRead int64 // readWall at entry
-	allocObjs uint64
-	allocByts uint64
 }
 
 // window is one closed ring window of per-site activity.
@@ -197,7 +165,6 @@ type window struct {
 // Profiler accumulates instrumented-region activity. Obtain one from New;
 // a nil Profiler is valid and free.
 type Profiler struct {
-	epoch time.Time
 	clock func() int64 // virtual now in ns; nil until SetClock
 
 	sites    [numSites]siteAgg
@@ -213,17 +180,6 @@ type Profiler struct {
 	ring      []window
 	ringLen   int
 	ringHead  int
-
-	// Overlay sampling: trees counts the top-level regions entered, a tree
-	// is sampled when its index is a multiple of stride, and sampled says
-	// whether the open tree is.
-	stride  uint64
-	trees   uint64
-	sampled bool
-	// readWall is the wall time spent reading allocation counters while a
-	// region was open; each region leaves it out of its own wall.
-	readWall     int64
-	allocSamples []metrics.Sample // nil when allocation reads are off
 }
 
 // New returns a profiler, or nil — the disabled profiler — when
@@ -232,30 +188,11 @@ func New(opts Options) *Profiler {
 	if !opts.Enabled {
 		return nil
 	}
-	if opts.Window <= 0 {
-		opts.Window = defaultWindow
+	return &Profiler{
+		windowW:   int64(defaultWindow),
+		windowEnd: int64(defaultWindow),
+		ring:      make([]window, defaultWindows),
 	}
-	if opts.Windows <= 0 {
-		opts.Windows = defaultWindows
-	}
-	p := &Profiler{
-		epoch:     time.Now(),
-		windowW:   int64(opts.Window),
-		windowEnd: int64(opts.Window),
-		ring:      make([]window, opts.Windows),
-		stride:    uint64(opts.AllocSampleStride),
-	}
-	if opts.AllocSampleStride <= 0 {
-		p.stride = defaultStride
-	}
-	if opts.AllocSampleStride >= 0 {
-		p.allocSamples = []metrics.Sample{
-			{Name: "/gc/heap/allocs:objects"},
-			{Name: "/gc/heap/allocs:bytes"},
-		}
-		metrics.Read(p.allocSamples) // warm the path so later reads stay cheap
-	}
-	return p
 }
 
 // SetClock wires the virtual clock (the sim engine's Now). Without a clock
@@ -303,9 +240,6 @@ func (p *Profiler) enter(site Site) Region {
 	parent := &p.root
 	if p.depth > 0 {
 		parent = p.stack[p.depth-1].node
-	} else {
-		p.sampled = p.trees%p.stride == 0
-		p.trees++
 	}
 	n := parent.child[site]
 	if n == nil {
@@ -320,37 +254,12 @@ func (p *Profiler) enter(site Site) Region {
 	f := &p.stack[p.depth]
 	f.node = n
 	f.startVirt = virt
-	if p.depth == 0 || p.sampled {
-		if p.sampled && p.allocSamples != nil {
-			f.allocObjs, f.allocByts = p.readAllocs()
-		}
-		f.startWall = p.now()
-		f.startRead = p.readWall
-	}
 	p.depth++
 	return Region{p: p, idx: int32(p.depth - 1)}
 }
 
-// now is the wall clock, in ns since the profiler's epoch.
-func (p *Profiler) now() int64 { return int64(time.Since(p.epoch)) }
-
-// readAllocs reads the heap's cumulative allocation counters. With a
-// region open the read's own wall time goes to readWall, so it inflates
-// no region's wall.
-func (p *Profiler) readAllocs() (objs, bytes uint64) {
-	var t0 int64
-	if p.depth > 0 {
-		t0 = p.now()
-	}
-	metrics.Read(p.allocSamples)
-	if p.depth > 0 {
-		p.readWall += p.now() - t0
-	}
-	return p.allocSamples[0].Value.Uint64(), p.allocSamples[1].Value.Uint64()
-}
-
-// End closes the region, attributing wall and virtual deltas to its site
-// and path. Ends arriving out of order close every deeper region first.
+// End closes the region, attributing its virtual delta to its site and
+// path. Ends arriving out of order close every deeper region first.
 func (r Region) End() {
 	p := r.p
 	if p == nil {
@@ -374,24 +283,6 @@ func (p *Profiler) exitTop() {
 	}
 	p.cur.virtual[n.site] += virtDelta
 	n.virtual += virtDelta
-	if p.depth > 0 && !p.sampled {
-		return
-	}
-	wall := p.now() - f.startWall - (p.readWall - f.startRead)
-	if wall < 0 {
-		wall = 0
-	}
-	n.timed++
-	n.wall += wall
-	if !p.sampled {
-		return
-	}
-	n.sampled++
-	if p.allocSamples != nil {
-		objs, bytes := p.readAllocs()
-		n.allocObjs += objs - f.allocObjs
-		n.allocBytes += bytes - f.allocByts
-	}
 }
 
 // Sample records one explicit virtual-duration observation at site — a
@@ -460,7 +351,7 @@ func (p *Profiler) Overflow() uint64 {
 	return p.overflow
 }
 
-// SiteCount is one call-site's live counters, for SpineProfile and -watch.
+// SiteCount is one call-site's live counters, for -watch and the ring.
 type SiteCount struct {
 	Site      string `json:"site"`
 	Count     uint64 `json:"count"`

@@ -52,8 +52,6 @@ func TestDisabledProfilerIsFree(t *testing.T) {
 		p.SetClock(nil)
 		_ = p.Counts()
 		_ = p.Snapshot()
-		_ = p.Measured()
-		_ = p.TotalWallNs()
 		_ = p.Overflow()
 	})
 	if allocs != 0 {
@@ -62,7 +60,7 @@ func TestDisabledProfilerIsFree(t *testing.T) {
 }
 
 func TestEnabledHotPathDoesNotAllocate(t *testing.T) {
-	p := New(Options{Enabled: true, AllocSampleStride: -1})
+	p := New(Options{Enabled: true})
 	var now int64
 	p.SetClock(func() int64 { return now })
 	// Prime the path table so steady state is measured, not first-touch.
@@ -81,7 +79,7 @@ func TestEnabledHotPathDoesNotAllocate(t *testing.T) {
 }
 
 func TestAggregatesAndStacks(t *testing.T) {
-	p := New(Options{Enabled: true, AllocSampleStride: -1})
+	p := New(Options{Enabled: true})
 	drive(p)
 	snap := p.Snapshot()
 	var ev, disp *SiteJSON
@@ -163,17 +161,17 @@ func TestDeterministicExports(t *testing.T) {
 }
 
 func TestWindowsRoll(t *testing.T) {
-	p := New(Options{Enabled: true, Window: time.Minute, Windows: 4, AllocSampleStride: -1})
+	p := New(Options{Enabled: true})
 	var now int64
 	p.SetClock(func() int64 { return now })
-	for i := 0; i < 10; i++ {
-		now = int64(i) * int64(time.Minute)
+	for i := 0; i < defaultWindows+6; i++ {
+		now = int64(i) * int64(defaultWindow)
 		r := p.Enter(SiteSimEvent)
 		r.End()
 	}
 	snap := p.Snapshot()
-	if len(snap.Windows) != 4 {
-		t.Fatalf("ring kept %d windows, want 4", len(snap.Windows))
+	if len(snap.Windows) != defaultWindows {
+		t.Fatalf("ring kept %d windows, want %d", len(snap.Windows), defaultWindows)
 	}
 	for _, w := range snap.Windows {
 		if len(w.Sites) != 1 || w.Sites[0].Site != "sim.event" || w.Sites[0].Count != 1 {
@@ -181,7 +179,7 @@ func TestWindowsRoll(t *testing.T) {
 		}
 	}
 	// Idle gaps collapse instead of spinning the ring empty.
-	now = int64(100 * time.Minute)
+	now = int64(100*defaultWindows) * int64(defaultWindow)
 	r := p.Enter(SiteSimEvent)
 	r.End()
 	snap = p.Snapshot()
@@ -196,42 +194,8 @@ func TestWindowsRoll(t *testing.T) {
 	}
 }
 
-var allocSink []byte
-
-func TestMeasuredOverlayAndCoverage(t *testing.T) {
-	p := New(Options{Enabled: true, AllocSampleStride: 1})
-	for i := 0; i < 50; i++ {
-		ev := p.Enter(SiteSimEvent)
-		d := p.Enter(SiteBusDispatch)
-		allocSink = make([]byte, 1024)
-		d.End()
-		ev.End()
-	}
-	ms := p.Measured()
-	bySite := map[string]SiteMeasured{}
-	for _, m := range ms {
-		bySite[m.Site] = m
-	}
-	ev := bySite["sim.event"]
-	disp := bySite["bus.dispatch"]
-	if ev.WallNs <= 0 || disp.WallNs <= 0 || ev.WallNs < disp.WallNs {
-		t.Fatalf("wall attribution inverted: %+v", ms)
-	}
-	if ev.SelfWallNs > ev.WallNs {
-		t.Fatalf("self wall exceeds total: %+v", ev)
-	}
-	// The runtime publishes alloc stats with some slack; the estimate only
-	// has to land in the workload's ballpark (50 KiB allocated).
-	if disp.AllocBytes < 1024*40 {
-		t.Fatalf("alloc sampling missed the workload: %+v", disp)
-	}
-	if p.TotalWallNs() != ev.WallNs {
-		t.Fatalf("TotalWallNs %d != top-level wall %d", p.TotalWallNs(), ev.WallNs)
-	}
-}
-
 func TestRegionEndOutOfOrder(t *testing.T) {
-	p := New(Options{Enabled: true, AllocSampleStride: -1})
+	p := New(Options{Enabled: true})
 	ev := p.Enter(SiteSimEvent)
 	_ = p.Enter(SiteBusDispatch) // never explicitly ended
 	ev.End()                     // closes both
@@ -248,7 +212,7 @@ func TestRegionEndOutOfOrder(t *testing.T) {
 // outermost frames: the paths share their eight innermost frames, and
 // each must stay its own stack in both exports.
 func TestDeepPathsStayDistinct(t *testing.T) {
-	p := New(Options{Enabled: true, AllocSampleStride: -1})
+	p := New(Options{Enabled: true})
 	inner := []Site{SiteNetSend, SiteNetDeliver, SiteBusDispatch, SiteSchedRoute,
 		SiteSchedSteal, SiteKnowledgeMerge, SiteCoreDecide, SiteTelemetryRecord}
 	for _, outer := range []Site{SiteSimEvent, SiteCoreDecide} {
@@ -289,61 +253,8 @@ func TestDeepPathsStayDistinct(t *testing.T) {
 	}
 }
 
-// TestSampledOverlay runs the default stride: top-level wall stays exact,
-// nested estimates come from every 64th tree, and which regions are
-// measured depends on the region sequence alone.
-func TestSampledOverlay(t *testing.T) {
-	run := func() *Profiler {
-		p := New(Options{Enabled: true})
-		for i := 0; i < 1000; i++ {
-			ev := p.Enter(SiteSimEvent)
-			d := p.Enter(SiteBusDispatch)
-			if i%3 == 0 {
-				r := p.Enter(SiteSchedRoute)
-				allocSink = make([]byte, 64)
-				r.End()
-			}
-			d.End()
-			ev.End()
-		}
-		return p
-	}
-	p := run()
-	top := p.root.child[SiteSimEvent]
-	if top.timed != 1000 || top.sampled != 16 {
-		t.Fatalf("sim.event timed %d sampled %d, want 1000 and 16", top.timed, top.sampled)
-	}
-	var ev *SiteMeasured
-	ms := p.Measured()
-	for i := range ms {
-		if ms[i].SelfWallNs > ms[i].WallNs {
-			t.Fatalf("self wall exceeds wall: %+v", ms[i])
-		}
-		if ms[i].Site == "sim.event" {
-			ev = &ms[i]
-		}
-	}
-	if ev == nil || ev.WallNs != p.TotalWallNs() || ev.WallNs != top.wall {
-		t.Fatalf("sim.event wall %+v, TotalWallNs %d, top-level sum %d", ev, p.TotalWallNs(), top.wall)
-	}
-
-	// The same sequence measures the same regions on every path.
-	q := run()
-	a, b := p.paths(), q.paths()
-	if len(a) != len(b) {
-		t.Fatalf("paths %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		x, y := a[i], b[i]
-		if x.stack != y.stack || x.count != y.count || x.timed != y.timed || x.sampled != y.sampled {
-			t.Fatalf("path %q measured %d/%d of %d, then %q %d/%d of %d",
-				x.stack, x.timed, x.sampled, x.count, y.stack, y.timed, y.sampled, y.count)
-		}
-	}
-}
-
 // BenchmarkRegion is one event tree as the spine opens it: a top-level
-// region holding two nested ones, at the default stride.
+// region holding two nested ones.
 func BenchmarkRegion(b *testing.B) {
 	for _, tc := range []struct {
 		name string

@@ -415,12 +415,6 @@ type Scheduler struct {
 	// test per transition. Observers must only record — mutating scheduler
 	// state from the callback is not supported.
 	Observer func(Decision)
-
-	// Prof, when non-nil, wraps routing under sched.route and the stealing
-	// scan under sched.steal, and samples each dispatch's queue wait as a
-	// sched.route exemplar keyed by the job's trace ID. Set it after New,
-	// like Observer; the nil default costs one pointer test per hot path.
-	Prof *prof.Profiler
 }
 
 // observe emits a Decision to the Observer, deriving the job identity and
@@ -913,7 +907,7 @@ func (s *Scheduler) instrumentFor(rec *discovery.Record) *instrument.Instrument 
 // instead of cloning the record set; the returned record shares the
 // registry's capability maps and is read-only by contract.
 func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, bool) {
-	r := s.Prof.Enter(prof.SiteSchedRoute)
+	r := s.eng.Prof.Enter(prof.SiteSchedRoute)
 	defer r.End()
 	s.probesC.Inc()
 	var best *discovery.Record
@@ -966,7 +960,7 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 		s.flights = append(s.flights, qj)
 	}
 	wait := s.eng.Now() - qj.enqueued
-	s.Prof.Sample(prof.SiteSchedRoute, wait.Std(), qj.job.Trace.TraceID())
+	s.eng.Prof.Sample(prof.SiteSchedRoute, wait.Std(), qj.job.Trace.TraceID())
 	s.waitH.Observe(wait.Seconds())
 	if t.waitHist != nil {
 		t.waitHist.Observe(wait.Seconds())
@@ -1219,7 +1213,7 @@ func (s *Scheduler) localSpare(ss *siteSched) bool {
 // first, only kinds routable from here), paying one WAN round trip before
 // the work lands in its own queues.
 func (s *Scheduler) maybeSteal(ss *siteSched) {
-	r := s.Prof.Enter(prof.SiteSchedSteal)
+	r := s.eng.Prof.Enter(prof.SiteSchedSteal)
 	defer r.End()
 	if !s.localSpare(ss) {
 		return

@@ -90,7 +90,9 @@ type Engine struct {
 	Horizon uint64
 
 	// Prof, when non-nil, wraps every event callback in a sim.event
-	// profiler region. The nil default costs one pointer test per event.
+	// profiler region, and is the one handle through which every subsystem
+	// on this engine opens its own regions. The nil default costs one
+	// pointer test per region.
 	Prof *prof.Profiler
 
 	processed uint64

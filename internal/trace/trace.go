@@ -14,10 +14,9 @@
 //     A guard test asserts 0 allocs/op on the disabled path.
 //
 //   - Deterministic. Span IDs are allocated from a sequential counter
-//     (the sim kernel is single-threaded and totally ordered), and
-//     head-sampling decides per trace ID with a hash — never a random
-//     stream — so a fixed-seed run produces the same trace at any
-//     sampling rate, and sampling one trace never perturbs another.
+//     (the sim kernel is single-threaded and totally ordered) and trace
+//     IDs are hashes of stable labels — never a random stream — so a
+//     fixed-seed run produces the same trace on every host.
 //
 //   - Bounded. Spans land in fixed-capacity per-site ring buffers;
 //     sustained overload overwrites the oldest spans and counts drops
@@ -30,7 +29,6 @@
 package trace
 
 import (
-	"math"
 	"sort"
 
 	"github.com/aisle-sim/aisle/internal/sim"
@@ -118,23 +116,9 @@ type Options struct {
 	// is the production default: core.New then wires nil tracers and every
 	// instrumentation site reduces to a pointer test.
 	Enabled bool
-	// SampleRate is the head-sampling probability in [0,1]; 0 means 1.0
-	// (sample everything). The decision is a deterministic hash of the
-	// trace ID, so fixed-seed runs sample identically at any rate and
-	// changing the rate only removes whole traces, never reorders them.
-	SampleRate float64
 	// SiteCapacity is the per-site ring-buffer capacity in spans.
 	// Default 8192. Overflow overwrites the oldest spans and is counted.
 	SiteCapacity int
-}
-
-func (o *Options) defaults() {
-	if o.SampleRate == 0 {
-		o.SampleRate = 1
-	}
-	if o.SiteCapacity <= 0 {
-		o.SiteCapacity = 8192
-	}
 }
 
 // Tracer records spans into fixed-capacity per-site ring buffers. A nil
@@ -143,8 +127,7 @@ func (o *Options) defaults() {
 // A tracer belongs to one simulation and records on its goroutine alone,
 // so it takes no locks; read it between engine steps.
 type Tracer struct {
-	opts      Options
-	threshold uint64 // sample when mix(traceID) <= threshold
+	capacity int // per-site ring capacity in spans
 
 	sites   map[string]*siteBuf
 	order   []string // sorted site names, maintained on insert
@@ -165,21 +148,14 @@ func New(opts Options) *Tracer {
 	if !opts.Enabled {
 		return nil
 	}
-	opts.defaults()
-	t := &Tracer{opts: opts, sites: make(map[string]*siteBuf)}
-	switch {
-	case opts.SampleRate >= 1:
-		t.threshold = math.MaxUint64
-	case opts.SampleRate <= 0:
-		t.threshold = 0
-	default:
-		t.threshold = uint64(opts.SampleRate * float64(math.MaxUint64))
+	if opts.SiteCapacity <= 0 {
+		opts.SiteCapacity = 8192
 	}
-	return t
+	return &Tracer{capacity: opts.SiteCapacity, sites: make(map[string]*siteBuf)}
 }
 
-// mix is SplitMix64's finalizer: the deterministic hash behind both trace-ID
-// derivation and head-sampling.
+// mix is SplitMix64's finalizer: the deterministic hash behind trace-ID
+// derivation.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -201,12 +177,11 @@ func ID(label string) uint64 {
 	return mix(h)
 }
 
-// Root opens a trace: it applies the head-sampling decision for traceID and
-// returns the root Context. On a nil tracer, an unsampled ID, or traceID 0
-// the returned Context is the zero value and every operation under it is a
-// no-op.
+// Root opens a trace and returns its root Context. On a nil tracer or
+// traceID 0 the returned Context is the zero value and every operation under
+// it is a no-op.
 func (t *Tracer) Root(traceID uint64) Context {
-	if t == nil || traceID == 0 || mix(traceID) > t.threshold {
+	if t == nil || traceID == 0 {
 		return Context{}
 	}
 	return Context{tr: t, traceID: traceID}
@@ -216,7 +191,7 @@ func (t *Tracer) Root(traceID uint64) Context {
 func (t *Tracer) record(s *Span) {
 	b := t.sites[s.Site]
 	if b == nil {
-		b = &siteBuf{spans: make([]Span, 0, t.opts.SiteCapacity)}
+		b = &siteBuf{spans: make([]Span, 0, t.capacity)}
 		t.sites[s.Site] = b
 		i := sort.SearchStrings(t.order, s.Site)
 		t.order = append(t.order, "")
@@ -319,7 +294,7 @@ func (t *Tracer) Spans() []Span {
 // Context is a position in a trace: the tracer plus the current span, under
 // which child spans open. The zero Context is the disabled fast path — all
 // methods are allocation-free no-ops — which is how untraced federations
-// and unsampled traces cost nothing.
+// cost nothing.
 //
 // Context is a small value: store it in structs and pass it through
 // callback chains by value, never by pointer.

@@ -24,41 +24,6 @@ func TestDisabledPathIsZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestUnsampledTraceIsZeroAlloc(t *testing.T) {
-	tr := New(Options{Enabled: true, SampleRate: 1e-12})
-	id := ID("never-sampled")
-	if ctx := tr.Root(id); ctx.Enabled() {
-		t.Skip("label happens to fall under the sampling threshold")
-	}
-	allocs := testing.AllocsPerRun(1000, func() {
-		ctx := tr.Root(id)
-		sp, cc := ctx.Start(0, "ornl", KindExperiment, "e")
-		cc.Finish(&sp, sim.Second)
-	})
-	if allocs != 0 {
-		t.Fatalf("unsampled path allocated %v allocs/op, want 0", allocs)
-	}
-}
-
-func TestSamplingIsDeterministicPerTraceID(t *testing.T) {
-	a := New(Options{Enabled: true, SampleRate: 0.5})
-	b := New(Options{Enabled: true, SampleRate: 0.5})
-	sampled := 0
-	for i := 0; i < 2000; i++ {
-		id := ID("trace-" + string(rune('a'+i%26)) + "-" + itoa(i))
-		ca, cb := a.Root(id), b.Root(id)
-		if ca.Enabled() != cb.Enabled() {
-			t.Fatalf("sampling decision diverged for id %x", id)
-		}
-		if ca.Enabled() {
-			sampled++
-		}
-	}
-	if sampled < 800 || sampled > 1200 {
-		t.Fatalf("rate-0.5 sampling kept %d/2000 traces", sampled)
-	}
-}
-
 func itoa(i int) string {
 	if i == 0 {
 		return "0"
