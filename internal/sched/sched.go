@@ -304,14 +304,8 @@ type siteSched struct {
 	active []*tenantQ
 	// depth is the site's labelled queue-depth gauge, cached like waitHist.
 	depth *telemetry.Gauge
-}
-
-func (ss *siteSched) queueLen() int {
-	n := 0
-	for _, t := range ss.tenants {
-		n += len(t.jobs)
-	}
-	return n
+	// queued is the sum of len(t.jobs) over tenants; enqueue/dequeued keep it.
+	queued int
 }
 
 // fairOrder compares tenants by (vtime, id): furthest behind its share
@@ -349,12 +343,14 @@ func (s *Scheduler) enqueue(ss *siteSched, t *tenantQ, qj *queuedJob) {
 		i, _ := slices.BinarySearchFunc(ss.active, t, fairOrder)
 		ss.active = slices.Insert(ss.active, i, t)
 	}
+	ss.queued++
 	s.queued++
 }
 
 // dequeued settles the count after n jobs left t's FIFO and retires the
 // tenant from the service order once it is empty.
 func (s *Scheduler) dequeued(ss *siteSched, t *tenantQ, n int) {
+	ss.queued -= n
 	s.queued -= n
 	if n > 0 && len(t.jobs) == 0 {
 		i := slices.Index(ss.active, t)
@@ -1224,14 +1220,14 @@ func (s *Scheduler) maybeSteal(ss *siteSched) {
 		if o == ss {
 			continue
 		}
-		if q := o.queueLen(); q > deepest {
+		if q := o.queued; q > deepest {
 			deepest, victim = q, o
 		}
 	}
 	if victim == nil {
 		return
 	}
-	want := (victim.queueLen() + 1) / 2
+	want := (victim.queued + 1) / 2
 	stolen := s.stealFrom(victim, ss, want)
 	if len(stolen) == 0 {
 		return
@@ -1303,6 +1299,6 @@ func (s *Scheduler) gauges() {
 		s.utilG.Set(float64(s.flying) / float64(c))
 	}
 	for _, ss := range s.order {
-		ss.depth.Set(float64(ss.queueLen()))
+		ss.depth.Set(float64(ss.queued))
 	}
 }

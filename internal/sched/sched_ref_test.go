@@ -65,7 +65,7 @@ func (s *Scheduler) refPump(ss *siteSched) {
 			group = append(group[:i], append([]*tenantQ{t}, group[i:]...)...)
 		}
 	}
-	if ss.queueLen() == 0 {
+	if ss.queued == 0 {
 		s.maybeSteal(ss)
 	}
 }

@@ -609,15 +609,17 @@ func TestTryDispatchFailsFastOnExpiredJob(t *testing.T) {
 
 // checkOrder asserts the persistent service order's invariant at every site
 // — exactly the tenants with queued jobs, strictly ascending in fairOrder —
-// and that its other two readers still see what the old map scans saw: byID
-// the sorted ids of the busy tenants, syncVtime the lowest busy vtime.
+// that its other two readers still see what the old map scans saw: byID
+// the sorted ids of the busy tenants, syncVtime the lowest busy vtime — and
+// that the site and federation queue counts equal what the FIFOs hold.
 func checkOrder(t *testing.T, s *Scheduler) {
 	queued := 0
 	for _, ss := range s.order {
 		var busy []string
 		floor := -1.0
+		held := 0
 		for id, tq := range ss.tenants {
-			queued += len(tq.jobs)
+			held += len(tq.jobs)
 			if len(tq.jobs) > 0 {
 				busy = append(busy, id)
 				if floor < 0 || tq.vtime < floor {
@@ -625,6 +627,10 @@ func checkOrder(t *testing.T, s *Scheduler) {
 				}
 			}
 		}
+		if held != ss.queued {
+			t.Fatalf("site %s: queued count %d, FIFOs hold %d", ss.bind.ID, ss.queued, held)
+		}
+		queued += held
 		sort.Strings(busy)
 		var byID []string
 		for _, tq := range ss.byID() {

@@ -157,26 +157,30 @@ type Federation struct {
 	// Verify and dropped when RegisterIdP replaces its key.
 	signers map[netsim.SiteID]*signer
 
-	// audit is a ring once it holds MaxAuditEntries: oldest is then the
-	// index of the oldest entry, the next one overwritten.
-	audit  []AuditEntry
-	oldest int
+	// audit holds the log's n entries, at most maxAudit (the oldest are
+	// dropped), in chunks of auditChunk so growth never re-copies what is
+	// logged: ring index i lives at audit[i/auditChunk][i%auditChunk]. Once
+	// n reaches maxAudit, oldest is the index of the oldest entry, the next
+	// one overwritten.
+	audit     [][]AuditEntry
+	n, oldest int
+	maxAudit  int
 
 	// Guard.Check's counters, resolved at the first check.
 	checks, authnFailures, authzDenials, allowed *telemetry.Counter
-
-	// MaxAuditEntries bounds memory; oldest entries are dropped. Default 100000.
-	MaxAuditEntries int
 }
+
+// auditChunk is the audit log's unit of growth, in entries.
+const auditChunk = 512
 
 // NewFederation returns an empty trust fabric.
 func NewFederation(eng *sim.Engine) *Federation {
 	return &Federation{
-		eng:             eng,
-		keys:            make(map[netsim.SiteID][]byte),
-		trusts:          make(map[netsim.SiteID]map[netsim.SiteID]bool),
-		metrics:         telemetry.NewRegistry(),
-		MaxAuditEntries: 100000,
+		eng:      eng,
+		keys:     make(map[netsim.SiteID][]byte),
+		trusts:   make(map[netsim.SiteID]map[netsim.SiteID]bool),
+		metrics:  telemetry.NewRegistry(),
+		maxAudit: 100000,
 	}
 }
 
@@ -348,31 +352,30 @@ type AuditEntry struct {
 	Reason   string
 }
 
-// Audit returns the audit log (most recent last). The slice is the log's own
-// storage: the next decision may overwrite its first entry.
+// Audit returns a copy of the audit log, most recent last.
 func (f *Federation) Audit() []AuditEntry {
-	if f.oldest != 0 {
-		// Rotate the ring so that it starts at index 0 again.
-		slices.Reverse(f.audit[:f.oldest])
-		slices.Reverse(f.audit[f.oldest:])
-		slices.Reverse(f.audit)
-		f.oldest = 0
+	out := make([]AuditEntry, f.n)
+	for k := range out {
+		i := (f.oldest + k) % f.n
+		out[k] = f.audit[i/auditChunk][i%auditChunk]
 	}
-	return f.audit
+	return out
 }
 
-// record appends e until the log holds MaxAuditEntries, then overwrites the
+// record appends e until the log holds maxAudit entries, then overwrites the
 // oldest entry in place.
 func (f *Federation) record(e AuditEntry) {
-	switch {
-	case f.MaxAuditEntries <= 0:
-		f.audit, f.oldest = nil, 0
-	case len(f.audit) < f.MaxAuditEntries:
-		f.audit = append(f.Audit(), e)
-	default:
-		f.audit[f.oldest] = e
-		f.oldest = (f.oldest + 1) % len(f.audit)
+	i := f.oldest
+	if f.n < f.maxAudit {
+		i = f.n
+		if i%auditChunk == 0 {
+			f.audit = append(f.audit, make([]AuditEntry, min(auditChunk, f.maxAudit-i)))
+		}
+		f.n++
+	} else {
+		f.oldest = (f.oldest + 1) % f.n
 	}
+	f.audit[i/auditChunk][i%auditChunk] = e
 }
 
 // Guard couples the federation with a PDP to make per-message decisions.

@@ -234,7 +234,7 @@ func TestBusMiddlewareEndToEnd(t *testing.T) {
 
 func TestAuditBounded(t *testing.T) {
 	_, fed, ornl, _ := fixture(t)
-	fed.MaxAuditEntries = 10
+	fed.maxAudit = 10
 	g := &Guard{Fed: fed, PDP: &PDP{}}
 	tok := ornl.Issue(Principal{ID: "x"}, "anl")
 	for i := 0; i < 25; i++ {

@@ -197,7 +197,7 @@ func TestKeyRotation(t *testing.T) {
 
 func TestVerifyAndAllowPathAllocationFree(t *testing.T) {
 	_, fed, ornl, anl := fixture(t)
-	fed.MaxAuditEntries = 8
+	fed.maxAudit = 8
 	pdp := &PDP{}
 	pdp.AddPolicy(Policy{Name: "instruments", Resource: "instr/*", Action: "call",
 		Conditions: []Condition{{Attr: "role", Op: OpIn, Value: "orchestrator, service"}}})
@@ -207,7 +207,7 @@ func TestVerifyAndAllowPathAllocationFree(t *testing.T) {
 		ornl.Issue(Principal{ID: "svc@ornl", Attributes: attrs}, "anl"),
 		anl.Issue(Principal{ID: "svc@anl", Attributes: attrs}, ""),
 	}
-	for i := 0; i < 2*fed.MaxAuditEntries; i++ { // key both signers, wrap the ring
+	for i := 0; i < 2*fed.maxAudit; i++ { // key both signers, wrap the ring
 		if err := g.Check("anl", toks[i%2], "call", "instr/xrd"); err != nil {
 			t.Fatal(err)
 		}
@@ -229,62 +229,50 @@ func TestVerifyAndAllowPathAllocationFree(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Guard.Check allow path allocates %v per call, want 0", n)
 	}
-	if got := fed.Metrics().Counter("security.allowed").Value(); got != int64(2*fed.MaxAuditEntries)+201 {
+	if got := fed.Metrics().Counter("security.allowed").Value(); got != int64(2*fed.maxAudit)+201 {
 		t.Errorf("security.allowed = %d, want every allowed check counted", got)
 	}
 }
 
 func TestAuditRing(t *testing.T) {
-	_, fed, ornl, _ := fixture(t)
-	g := &Guard{Fed: fed, PDP: &PDP{}}
-	tok := ornl.Issue(Principal{ID: "x"}, "anl")
-	next := 0
-	record := func(n int) {
-		for i := 0; i < n; i++ {
-			_ = g.Check("anl", tok, "call", fmt.Sprint("r", next))
-			next++
-		}
-	}
-	wantLast := func(n int) {
-		t.Helper()
-		audit := fed.Audit()
-		if len(audit) != n {
-			t.Fatalf("after %d decisions: %d entries retained, want %d", next, len(audit), n)
-		}
-		for i, e := range audit {
-			if want := fmt.Sprint("r", next-n+i); e.Resource != want || e.Subject != "x" || e.Allowed {
-				t.Fatalf("after %d decisions: entry %d = %+v, want resource %s", next, i, e, want)
+	// Each case runs decisions on a fresh federation bounded at max and
+	// reads the log after every step of steps: it must hold the most recent
+	// min(decisions, max) entries, oldest first, and reading must not
+	// disturb the order (a step of 0 reads the same ring again).
+	for _, c := range []struct {
+		max   int
+		steps []int
+	}{
+		{1, []int{3, 0}},
+		{4, []int{2, 7, 0, 1, 2}},
+		{6, []int{5, 9, 0, 2}},
+		// 3×512+5 decisions: fills chunks 0 and 1, wraps in chunk 0 and
+		// leaves the oldest entry mid-chunk 1.
+		{2*auditChunk + 3, []int{auditChunk, 1, auditChunk + 2, 3, auditChunk - 1, 0}},
+	} {
+		_, fed, ornl, _ := fixture(t)
+		fed.maxAudit = c.max
+		g := &Guard{Fed: fed, PDP: &PDP{}}
+		tok := ornl.Issue(Principal{ID: "x"}, "anl")
+		next := 0
+		for _, n := range c.steps {
+			for range n {
+				_ = g.Check("anl", tok, "call", fmt.Sprint("r", next))
+				next++
+			}
+			audit := fed.Audit()
+			if want := min(next, c.max); len(audit) != want {
+				t.Fatalf("bound %d, after %d decisions: %d entries retained, want %d", c.max, next, len(audit), want)
+			}
+			for i, e := range audit {
+				if want := fmt.Sprint("r", next-len(audit)+i); e.Resource != want || e.Subject != "x" || e.Allowed {
+					t.Fatalf("bound %d, after %d decisions: entry %d = %+v, want resource %s", c.max, next, i, e, want)
+				}
 			}
 		}
-	}
-
-	fed.MaxAuditEntries = 0
-	record(3)
-	wantLast(0)
-	fed.MaxAuditEntries = -1
-	record(1)
-	wantLast(0)
-
-	fed.MaxAuditEntries = 1
-	record(3)
-	wantLast(1)
-
-	fed.MaxAuditEntries = 4
-	record(2)
-	wantLast(3) // still growing
-	record(6)
-	wantLast(4) // wrapped, read mid-ring
-	record(1)
-	wantLast(4) // reading did not disturb the order
-	record(2)   // leave the oldest entry mid-ring
-	fed.MaxAuditEntries = 6
-	record(1)
-	wantLast(5) // a raised bound resumes growth, order kept
-	record(9)
-	wantLast(6)
-
-	if got := fed.Metrics().Counter("security.checks").Value(); got != int64(next) {
-		t.Errorf("security.checks = %d, want %d", got, next)
+		if got := fed.Metrics().Counter("security.checks").Value(); got != int64(next) {
+			t.Errorf("bound %d: security.checks = %d, want %d", c.max, got, next)
+		}
 	}
 }
 
