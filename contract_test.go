@@ -105,7 +105,7 @@ func TestContractObserverAllocations(t *testing.T) {
 
 // macroAllocCeiling is the most heap objects one seed-42 macro run may
 // allocate, by per-campaign parallelism.
-var macroAllocCeiling = map[int]uint64{1: 79_320, 4: 89_411, 16: 90_745}
+var macroAllocCeiling = map[int]uint64{1: 60_176, 4: 63_087, 16: 63_077}
 
 func TestContractMacroAllocations(t *testing.T) {
 	if raceEnabled {

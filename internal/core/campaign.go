@@ -155,8 +155,9 @@ func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 			Name: cfg.Name, Mode: cfg.Mode, Started: n.Eng.Now(),
 			BestValue: -1e300,
 		},
-		cb:  cb,
-		rnd: n.Rnd.Fork("campaign/" + cfg.Name + "/" + cfg.SeedLabel),
+		cb:   cb,
+		rnd:  n.Rnd.Fork("campaign/" + cfg.Name + "/" + cfg.SeedLabel),
+		goal: fmt.Sprintf("maximize %s of %s", cfg.Model.Objective(), cfg.Model.Name()),
 	}
 	c.opt = optimize.NewBayes(cfg.Model.Space(), c.rnd.Fork("opt"), optimize.BayesOpts{})
 	c.approver = llm.NewApprovalModel(c.rnd.Fork("review"))
@@ -190,7 +191,7 @@ func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 	}
 
 	// Provenance: the campaign is an agent acting for the site.
-	n.Mesh.Prov.AddAgent("campaign:"+cfg.Name, map[string]string{"site": string(cfg.Site)})
+	c.agentID = n.Mesh.Prov.AddAgent("campaign:"+cfg.Name, map[string]string{"site": string(cfg.Site)})
 
 	n.Sched.Tenant(cfg.Site, sched.TenantConfig{
 		ID: cfg.Name, Weight: cfg.FairWeight, Class: cfg.Priority,
@@ -209,6 +210,8 @@ type campaign struct {
 	agent    *llm.Orchestrator
 	human    *llm.Human
 	approver *llm.ApprovalModel
+	goal     string         // the reasoning traces' goal line
+	agentID  fabric.AgentID // the campaign's provenance agent
 
 	reuseStreak int
 	finished    bool
@@ -276,11 +279,10 @@ func (c *campaign) decide(intended param.Point, et *expTrace) llm.Proposal {
 	r := c.n.Prof.Enter(prof.SiteCoreDecide)
 	defer r.End()
 	var prop llm.Proposal
-	goal := fmt.Sprintf("maximize %s of %s", c.cfg.Model.Objective(), c.cfg.Model.Name())
 	if c.human != nil {
-		prop = c.human.Propose(intended, c.cfg.Model.Space(), c.n.Eng.Now(), goal)
+		prop = c.human.Propose(intended, c.cfg.Model.Space(), c.n.Eng.Now(), c.goal)
 	} else {
-		prop = c.agent.Propose(intended, c.cfg.Model.Space(), goal)
+		prop = c.agent.Propose(intended, c.cfg.Model.Space(), c.goal)
 	}
 	if et != nil {
 		// The decision's virtual extent is its modeled latency, elapsed by
@@ -321,8 +323,7 @@ func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace
 	// verification milestone exists to prevent.
 	c.opt.Tell(prop.Intended, value)
 	if value > c.rep.BestValue {
-		c.rep.BestValue = value
-		c.rep.BestPoint = prop.Emitted.Clone()
+		c.rep.BestValue, c.rep.BestPoint = value, prop.Emitted
 	}
 
 	if c.cfg.UseKnowledge {
@@ -331,12 +332,10 @@ func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace
 
 	// Provenance + dataset record for this experiment.
 	prov := c.n.Mesh.Prov
-	entID := prov.AddEntity(fmt.Sprintf("result:%s", res.SampleID), map[string]string{
-		"objective": fmt.Sprintf("%.4f", value),
-	})
+	entID := prov.AddEntity("result:"+res.SampleID, map[string]string{"objective": fmt.Sprintf("%.4f", value)})
 	actID := prov.AddActivity("experiment:"+res.SampleID, res.Started, res.Finished)
 	prov.WasGeneratedBy(entID, actID)
-	prov.WasAssociatedWith(actID, fabric.AgentID("campaign:"+c.cfg.Name))
+	prov.WasAssociatedWith(actID, c.agentID)
 
 	// Characterization hop, through the scheduler like the synthesis (it
 	// lands wherever the kind has capacity, possibly at another site).
@@ -465,8 +464,7 @@ func (c *campaign) tryReuse(p param.Point) bool {
 			c.reuseStreak++
 			c.opt.Tell(p, v)
 			if v > c.rep.BestValue {
-				c.rep.BestValue = v
-				c.rep.BestPoint = p.Clone()
+				c.rep.BestValue, c.rep.BestPoint = v, p
 			}
 			return true
 		}
@@ -486,7 +484,7 @@ func (c *campaign) launch(intended param.Point) {
 	if c.flyingPts == nil {
 		c.flyingPts = make(map[string]param.Point)
 	}
-	c.flyingPts[sample] = intended.Clone()
+	c.flyingPts[sample] = intended
 	et := c.beginExperiment(sample)
 	prop := c.decide(intended, et)
 	c.n.Eng.Schedule(prop.Latency, func() { c.submitSched(prop, sample, 0, et) })

@@ -10,8 +10,9 @@
 // and every base that accepts it stores that same pointer. The invariant that
 // makes this safe: an insight is never written after Add publishes it. A
 // newer version is a new Insight replacing the pointer in one base's map;
-// only bases (and the bus in transit) hold the pointer, and Get, Quarantined
-// and Observations hand out copies. Every check — vet, the sync span, the
+// only bases (and the bus in transit) hold the pointer, and Get and
+// Quarantined hand out copies. Points are shared, not copied, under
+// param.Point's ownership rule. Every check — vet, the sync span, the
 // lag observation, the clock fold — still runs once per receiver.
 package knowledge
 
@@ -304,7 +305,7 @@ func (b *Base) AddObservationT(ctx trace.Context, domain string, p param.Point, 
 	b.Add(Insight{
 		Kind:   KindObservation,
 		Domain: domain,
-		Point:  p.Clone(),
+		Point:  p,
 		Value:  value,
 		Key:    string(obsKey(buf[:0], domain, p)),
 		Trace:  ctx,
@@ -388,8 +389,7 @@ func (b *Base) Observations(domain string) (points []param.Point, values []float
 	sort.Strings(keys)
 	for _, k := range keys {
 		ins := b.insights[k]
-		points = append(points, ins.Point.Clone())
-		values = append(values, ins.Value)
+		points, values = append(points, ins.Point), append(values, ins.Value)
 	}
 	return points, values
 }

@@ -167,13 +167,13 @@ func TestAddObservationAllocationBudget(t *testing.T) {
 	for i < runs { // warm the bus/netsim/sim pools and the maps
 		publish()
 	}
-	// Per call, five: the caller-owned Point.Clone (2: map and its group),
-	// the key string (1), the clock copy (1), the published Insight (1) —
-	// nothing per receiver. The sixth is headroom for the sixteen maps
-	// (fifteen peers and the origin) growing now and then.
+	// Per call, three: the key string, the clock copy and the published
+	// Insight — the caller's point is shared, not copied, and nothing is
+	// per receiver. The fourth is headroom for the sixteen maps (fifteen
+	// peers and the origin) growing now and then.
 	avg := testing.AllocsPerRun(runs, publish)
-	if avg > 6 {
-		t.Fatalf("AddObservation + fan-out to 16 sites allocates %v times per call, want <= 6", avg)
+	if avg > 4 {
+		t.Fatalf("AddObservation + fan-out to 16 sites allocates %v times per call, want <= 4", avg)
 	}
 	t.Logf("%v allocations per AddObservation merged at 16 sites", avg)
 	if got := fed.Base(ids[5]).Size(); got != i {

@@ -41,8 +41,8 @@ const (
 // Proposal is one orchestration decision: the parameters the agent intends
 // to run next, possibly corrupted in transcription.
 type Proposal struct {
-	Intended param.Point // what the planner meant
-	Emitted  param.Point // what it actually wrote
+	Intended param.Point // what the planner meant: the caller's point
+	Emitted  param.Point // what it actually wrote: Intended itself iff Defect == DefectNone
 	Defect   DefectKind
 	// Repaired marks proposals fixed by the verification loop.
 	Repaired bool
@@ -164,8 +164,8 @@ func (o *Orchestrator) Stats() (proposals, defects, repairs, caught int) {
 func (o *Orchestrator) Propose(intended param.Point, space param.Space, goal string) Proposal {
 	o.proposals++
 	p := Proposal{
-		Intended: intended.Clone(),
-		Emitted:  intended.Clone(),
+		Intended: intended,
+		Emitted:  intended,
 		Latency:  o.DecisionLatency,
 		Trace: Trace{
 			Goal: goal,
@@ -180,7 +180,7 @@ func (o *Orchestrator) Propose(intended param.Point, space param.Space, goal str
 
 	if o.rnd.Bool(o.DefectRate) {
 		o.defects++
-		p.Defect = o.injectDefect(p.Emitted, space)
+		p.Defect = o.injectDefect(&p, space)
 		p.Trace.Grounded = false // defective steps lack tool grounding
 	}
 
@@ -200,14 +200,14 @@ func (o *Orchestrator) Propose(intended param.Point, space param.Space, goal str
 		p.Trace.Steps = append(p.Trace.Steps,
 			fmt.Sprintf("verifier flagged %s; regenerating command", violation))
 		// Repair: re-emit from intent (the defect was in transcription).
-		p.Emitted = p.Intended.Clone()
+		p.Emitted = p.Intended
 		p.Repaired = true
 		p.Trace.Grounded = true
 		p.Trace.Citations++
 		// A repeated defect on the repair round is possible but rarer.
 		if o.rnd.Bool(o.DefectRate / 4) {
 			o.defects++
-			p.Defect = o.injectDefect(p.Emitted, space)
+			p.Defect = o.injectDefect(&p, space)
 		} else {
 			p.Defect = DefectNone
 			break
@@ -219,11 +219,11 @@ func (o *Orchestrator) Propose(intended param.Point, space param.Space, goal str
 // check returns the first violation found at the configured verification
 // depth, or "" when the proposal passes.
 func (o *Orchestrator) check(p *Proposal) string {
-	predicted, violations := o.Verifier.Preflight(p.Emitted)
-	if len(violations) > 0 {
+	if violations := o.Verifier.Verifier.Verify(p.Emitted); len(violations) > 0 {
 		return violations[0].Rule
 	}
-	if o.Mode != VerifyFull {
+	// Defect-free, the command is the intent: a cross-check cannot fail.
+	if o.Mode != VerifyFull || p.Defect == DefectNone {
 		return ""
 	}
 	// Twin prediction cross-check: the prediction for the emitted command
@@ -235,26 +235,23 @@ func (o *Orchestrator) check(p *Proposal) string {
 		return ""
 	}
 	obj := o.Verifier.Model.Objective()
-	want := expected[obj]
-	got := predicted[obj]
-	denom := abs(want)
-	if denom < 1e-9 {
-		denom = 1e-9
-	}
-	if abs(got-want)/denom > o.PredictionTol {
+	want, got := expected[obj], o.Verifier.Model.Eval(p.Emitted)[obj]
+	if abs(got-want)/max(abs(want), 1e-9) > o.PredictionTol {
 		return "twin-prediction-mismatch"
 	}
 	return ""
 }
 
-// injectDefect corrupts one dimension of p and returns the defect kind.
-func (o *Orchestrator) injectDefect(p param.Point, space param.Space) DefectKind {
+// injectDefect corrupts one dimension of a copy of prop.Intended, which
+// becomes prop.Emitted, and returns the defect kind.
+func (o *Orchestrator) injectDefect(prop *Proposal, space param.Space) DefectKind {
 	if len(space) == 0 {
 		return DefectNone
 	}
+	p := prop.Intended.Clone()
+	prop.Emitted = p
 	d := space[o.rnd.Intn(len(space))]
-	subtle := o.rnd.Bool(o.SubtleFraction)
-	if subtle {
+	if o.rnd.Bool(o.SubtleFraction) { // subtle: stays in range
 		if o.rnd.Bool(0.5) && len(space) >= 2 {
 			// Transpose two parameter values, then clamp into range so the
 			// command stays plausible.
@@ -262,10 +259,7 @@ func (o *Orchestrator) injectDefect(p param.Point, space param.Space) DefectKind
 			for e.Name == d.Name {
 				e = space[o.rnd.Intn(len(space))]
 			}
-			p[d.Name], p[e.Name] = e.Snap(p[e.Name]), d.Snap(p[d.Name])
-			// Note the snap above intentionally keeps both in range.
-			p[d.Name] = d.Snap(p[d.Name])
-			p[e.Name] = e.Snap(p[e.Name])
+			p[d.Name], p[e.Name] = d.Snap(e.Snap(p[e.Name])), e.Snap(d.Snap(p[d.Name]))
 			return DefectTranspose
 		}
 		// Stale value: reuse a plausible but wrong value (mid-range).
@@ -397,8 +391,8 @@ func (h *Human) nextWorkingInstant(t sim.Time) sim.Time {
 // almost always correct.
 func (h *Human) Propose(intended param.Point, space param.Space, now sim.Time, goal string) Proposal {
 	p := Proposal{
-		Intended: intended.Clone(),
-		Emitted:  intended.Clone(),
+		Intended: intended,
+		Emitted:  intended,
 		Latency:  h.DecisionLatency(now),
 		Trace: Trace{
 			Goal:      goal,
@@ -409,6 +403,7 @@ func (h *Human) Propose(intended param.Point, space param.Space, now sim.Time, g
 	}
 	if h.rnd.Bool(h.DefectRate) {
 		d := space[h.rnd.Intn(len(space))]
+		p.Emitted = intended.Clone()                        // copy on write: Intended is the caller's
 		p.Emitted[d.Name] = d.Snap(p.Emitted[d.Name] * 1.1) // small slip
 		p.Defect = DefectStaleValue
 	}

@@ -1,6 +1,9 @@
 package llm
 
 import (
+	"fmt"
+	"maps"
+	"reflect"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/param"
@@ -234,5 +237,139 @@ func TestProposalCorrectDetectsMismatch(t *testing.T) {
 	p2 := Proposal{Intended: param.Point{"x": 1}, Emitted: param.Point{}}
 	if p2.Correct() {
 		t.Fatal("missing key not detected")
+	}
+}
+
+// samePoint reports whether a and b are one map, not merely equal ones.
+func samePoint(a, b param.Point) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// Proposals share the caller's point: Propose never writes it, Intended is
+// that very map, and Emitted is a separate map iff a defect stands.
+func TestProposeNeverWritesIntended(t *testing.T) {
+	space := twin.Perovskite{}.Space()
+	tw := twin.NewTwin(twin.Perovskite{}, twin.Noise{})
+	holds := func(who string, in, before param.Point, p Proposal) {
+		t.Helper()
+		if !maps.Equal(in, before) {
+			t.Fatalf("%s wrote the caller's point: %v, was %v", who, in, before)
+		}
+		if !samePoint(p.Intended, in) {
+			t.Fatalf("%s: Intended is a copy of the caller's point", who)
+		}
+		if alias := samePoint(p.Emitted, p.Intended); alias != (p.Defect == DefectNone) {
+			t.Fatalf("%s: Emitted aliases Intended = %v with defect %q", who, alias, p.Defect)
+		}
+	}
+	kinds := make(map[DefectKind]bool)
+	var redefects, repairedClean, repairedDefective int
+	for seed := uint64(1); seed <= 300; seed++ {
+		for _, mode := range []VerifyMode{VerifyOff, VerifyBounds, VerifyFull} {
+			o := NewOrchestrator(rng.New(seed), tw)
+			o.DefectRate, o.Mode = 1, mode
+			in := space.Sample(rng.New(seed))
+			before := in.Clone()
+			p := o.Propose(in, space, "g")
+			holds(fmt.Sprintf("orchestrator seed %d mode %d", seed, mode), in, before, p)
+			kinds[p.Defect] = true
+			if _, defects, _, _ := o.Stats(); defects > 1 {
+				redefects++
+			}
+			switch {
+			case p.Repaired && p.Defect == DefectNone:
+				repairedClean++
+			case p.Repaired:
+				repairedDefective++
+			}
+		}
+		h := NewHuman(rng.New(seed))
+		h.DefectRate = 1
+		in := space.Sample(rng.New(seed))
+		before := in.Clone()
+		p := h.Propose(in, space, 0, "g")
+		holds(fmt.Sprintf("human seed %d", seed), in, before, p)
+		if p.Defect == DefectNone {
+			t.Fatalf("human seed %d: no slip at DefectRate 1", seed)
+		}
+	}
+	for _, k := range []DefectKind{DefectUnitSlip, DefectRangeError, DefectTranspose, DefectStaleValue} {
+		if !kinds[k] {
+			t.Errorf("no proposal ended with defect %q", k)
+		}
+	}
+	if redefects == 0 || repairedClean == 0 || repairedDefective == 0 {
+		t.Errorf("repair paths not all reached: %d re-defects, %d repaired clean, %d repaired but re-defective",
+			redefects, repairedClean, repairedDefective)
+	}
+}
+
+// crossCheckRef is check as it was before defect-free proposals skipped the
+// twin cross-check: preflight the command and the intent, and compare the
+// two predictions. check must return the same verdict on every proposal.
+func crossCheckRef(o *Orchestrator, p *Proposal) string {
+	predicted, violations := o.Verifier.Preflight(p.Emitted)
+	if len(violations) > 0 {
+		return violations[0].Rule
+	}
+	if o.Mode != VerifyFull {
+		return ""
+	}
+	expected, intentViol := o.Verifier.Preflight(p.Intended)
+	if len(intentViol) > 0 {
+		return ""
+	}
+	obj := o.Verifier.Model.Objective()
+	want := expected[obj]
+	got := predicted[obj]
+	denom := abs(want)
+	if denom < 1e-9 {
+		denom = 1e-9
+	}
+	if abs(got-want)/denom > o.PredictionTol {
+		return "twin-prediction-mismatch"
+	}
+	return ""
+}
+
+func TestCheckMatchesCrossCheckReference(t *testing.T) {
+	verdicts := make(map[string]int)
+	for name, m := range twin.Registry() {
+		space := m.Space()
+		tw := twin.NewTwin(m, twin.Noise{})
+		r := rng.New(7)
+		// point draws a random point, pushed out of bounds one time in three.
+		point := func() param.Point {
+			p := space.Sample(r)
+			if r.Bool(1.0 / 3) {
+				d := space[r.Intn(len(space))]
+				p[d.Name] = d.Hi + (d.Hi-d.Lo)*r.Range(-0.5, 0.5)
+			}
+			return p
+		}
+		for _, mode := range []VerifyMode{VerifyBounds, VerifyFull} {
+			o := NewOrchestrator(r, tw)
+			o.Mode = mode
+			for i := 0; i < 2000; i++ {
+				in := point()
+				props := []Proposal{
+					{Intended: in, Emitted: in},
+					{Intended: in, Emitted: point(), Defect: DefectStaleValue},
+					{Intended: in},
+				}
+				props[2].Defect = o.injectDefect(&props[2], space)
+				for j := range props {
+					got, want := o.check(&props[j]), crossCheckRef(o, &props[j])
+					if got != want {
+						t.Fatalf("%s mode %d: check(%v -> %v, %q) = %q, reference %q",
+							name, mode, props[j].Intended, props[j].Emitted, props[j].Defect, got, want)
+					}
+					verdicts[got]++
+				}
+			}
+		}
+	}
+	if verdicts[""] == 0 || verdicts["twin-prediction-mismatch"] == 0 || len(verdicts) < 4 {
+		t.Errorf("verdicts not all reached: %v", verdicts)
 	}
 }

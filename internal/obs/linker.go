@@ -43,12 +43,13 @@ type linker struct {
 	faults    []FaultWindow
 	jobs      map[string]*jobRec
 	order     []string
-	untracked int // decisions for jobs past the cap (or without an ID)
+	recs      []jobRec // the records' current chunk of recChunk; never re-grown
+	untracked int      // decisions for jobs past the cap (or without an ID)
 }
 
 // maxTrackedJobs bounds the linker's per-job records; beyond it, new jobs
-// are counted as untracked.
-const maxTrackedJobs = 16384
+// are counted as untracked. Records are allocated recChunk at a time.
+const maxTrackedJobs, recChunk = 16384, 256
 
 func newLinker() *linker {
 	return &linker{jobs: make(map[string]*jobRec)}
@@ -69,8 +70,12 @@ func (l *linker) observe(d sched.Decision) {
 			l.untracked++
 			return
 		}
-		rec = &jobRec{id: d.Job, tenant: d.Tenant, origin: string(d.Origin),
-			submitted: d.At, attemptStart: d.At}
+		if len(l.recs) == cap(l.recs) {
+			l.recs = make([]jobRec, 0, recChunk)
+		}
+		l.recs = append(l.recs, jobRec{id: d.Job, tenant: d.Tenant, origin: string(d.Origin),
+			submitted: d.At, attemptStart: d.At})
+		rec = &l.recs[len(l.recs)-1]
 		l.jobs[d.Job] = rec
 		l.order = append(l.order, d.Job)
 	}

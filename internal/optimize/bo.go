@@ -202,7 +202,7 @@ func (b *Bayes) Seed(points []param.Point, values []float64, weight float64) {
 		weight = 0.5
 	}
 	for i := range points {
-		b.obs = append(b.obs, Observation{Point: points[i].Clone(), Value: values[i], Weight: weight})
+		b.obs = append(b.obs, Observation{Point: points[i], Value: values[i], Weight: weight})
 	}
 	b.stale = true
 	// Seeding replaces part of the LHS warm-up: each seeded point removes
@@ -216,10 +216,9 @@ func (b *Bayes) Seed(points []param.Point, values []float64, weight float64) {
 
 // Tell implements Optimizer.
 func (b *Bayes) Tell(p param.Point, value float64) {
-	b.obs = append(b.obs, Observation{Point: p.Clone(), Value: value, Weight: 1})
+	b.obs = append(b.obs, Observation{Point: p, Value: value, Weight: 1})
 	if value > b.bestV {
-		b.bestV = value
-		b.bestP = p.Clone()
+		b.bestP, b.bestV = p, value
 	}
 	b.stale = true
 }
@@ -287,7 +286,7 @@ func (b *Bayes) AskBatch(k int, inflight []param.Point) []param.Point {
 
 // fantasize appends a constant-liar observation (retracted by AskBatch).
 func (b *Bayes) fantasize(p param.Point, lie float64) {
-	b.obs = append(b.obs, Observation{Point: p.Clone(), Value: lie, Weight: 1})
+	b.obs = append(b.obs, Observation{Point: p, Value: lie, Weight: 1})
 	b.stale = true
 }
 
@@ -678,8 +677,7 @@ func (r *Random) Ask() param.Point { return r.space.Sample(r.rnd) }
 func (r *Random) Tell(p param.Point, v float64) {
 	r.n++
 	if v > r.bestV {
-		r.bestV = v
-		r.bestP = p.Clone()
+		r.bestP, r.bestV = p, v
 	}
 }
 
@@ -744,8 +742,7 @@ func (g *Grid) Ask() param.Point {
 func (g *Grid) Tell(p param.Point, v float64) {
 	g.n++
 	if v > g.bestV {
-		g.bestV = v
-		g.bestP = p.Clone()
+		g.bestP, g.bestV = p, v
 	}
 }
 

@@ -78,11 +78,12 @@ func TestRefillDecisionsGolden(t *testing.T) {
 	}
 }
 
-// refillAllocBudget is a warm two-worker AskBatch(1, fly) at n=32: three
-// fantasy clones and the returned point (map and group each), two result
-// slices, the scoring closure, and the fan-out's counter, wait group,
-// claim closure and helper goroutine — nothing per candidate.
-const refillAllocBudget = 17
+// refillAllocBudget is a warm two-worker AskBatch(1, fly) at n=32: the
+// returned point (map and group), two result slices, the scoring closure,
+// and the fan-out's counter, wait group, claim closure and helper goroutine,
+// with one object of headroom — nothing per candidate, and no copy of the
+// in-flight points the fantasies share.
+const refillAllocBudget = 11
 
 // A warm refill allocates a fixed handful of objects, however many
 // candidates it scores.

@@ -52,7 +52,9 @@ func (d Dim) Snap(v float64) float64 {
 	return v
 }
 
-// Point is an assignment of values to dimension names.
+// Point is an assignment of values to dimension names. Points are shared,
+// not copied: no code in this module writes a point it was handed, and a
+// caller must not write a point after handing it over. Clone before editing.
 type Point map[string]float64
 
 // Clone copies the point.
