@@ -278,7 +278,8 @@ func printReport(rep *aisle.CampaignReport) {
 }
 
 // spineLines renders the live spine counters for the -watch loop: the
-// subsystem totals from the spine registry, plus the profiler's
+// subsystem totals from the spine registry and the network's trajectory
+// digest, plus the profiler's
 // per-call-site region and sample counts when -profile wired one in.
 func spineLines(n *aisle.Network) string {
 	var b strings.Builder
@@ -289,9 +290,10 @@ func spineLines(n *aisle.Network) string {
 		}
 		return 0
 	}
-	fmt.Fprintf(&b, "spine: sim=%d net=%d/%d bus=%d sched=%d merged=%d spans=%d(-%d)\n",
+	fmt.Fprintf(&b, "spine: sim=%d net=%d/%d bus=%d sched=%d merged=%d spans=%d(-%d) digest=%016x\n",
 		n.Eng.Processed(), count("net.sent"), count("net.delivered"), count("bus.delivered"),
-		count("sched.dispatched"), count("knowledge.merged"), n.Tracer.Len(), n.Tracer.Dropped())
+		count("sched.dispatched"), count("knowledge.merged"), n.Tracer.Len(), n.Tracer.Dropped(),
+		n.Net.Digest())
 	// The scheduler's waste ratios, from its own exact counters: how many
 	// site pumps and route probes each dispatch cost.
 	pumps, probes, d := float64(count("sched.pumps")), float64(count("sched.route_probes")),

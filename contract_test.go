@@ -20,6 +20,11 @@ import (
 // contractMakespan is the macro's virtual makespan at seed 42, in seconds.
 const contractMakespan = "4381.113353954"
 
+// contractDigest is the macro's trajectory digest at seed 42
+// (netsim.Network.Digest): a message that moves off the critical path
+// changes it even when the makespan holds.
+const contractDigest = 0x2ebb31381f729ad5
+
 // macroSpec is the macro at one seed and per-campaign parallelism, every
 // observer off.
 func macroSpec(seed uint64, parallelism int) experiments.SaturationSpec {
@@ -40,7 +45,8 @@ func runMacro(t *testing.T, spec experiments.SaturationSpec) (experiments.Satura
 }
 
 // Observers read the clock; they never schedule, draw randomness or
-// reorder events, so every combination of them keeps the makespan. The
+// reorder events, so every combination of them keeps the makespan and the
+// trajectory digest. The
 // profiler's count, sample and virtual-time export of the run is pinned
 // (with tracing on too, the profile also counts the tracer's regions).
 func TestContractMakespanAndProfile(t *testing.T) {
@@ -62,6 +68,9 @@ func TestContractMakespanAndProfile(t *testing.T) {
 		res, _ := runMacro(t, spec)
 		if got := fmt.Sprintf("%.9f", (res.Finish - res.Start).Seconds()); got != contractMakespan {
 			t.Errorf("observers %s: makespan %s s, want %s s", tc.name, got, contractMakespan)
+		}
+		if res.Digest != contractDigest {
+			t.Errorf("observers %s: trajectory digest %#016x, want %#016x", tc.name, res.Digest, contractDigest)
 		}
 		if tc.name == "prof" {
 			var b bytes.Buffer

@@ -42,6 +42,10 @@ type SaturationResult struct {
 	Finish   sim.Time // last campaign reported
 	Done     int
 	Executed int
+	// Digest is the network's trajectory digest when the run ended
+	// (netsim.Network.Digest): equal digests mean the same messages at the
+	// same instants.
+	Digest uint64
 	// Tracer holds the run's spans when Spec.Trace enabled tracing (nil
 	// otherwise); Metrics is the federation registry either way.
 	Tracer  *trace.Tracer
@@ -102,6 +106,7 @@ func RunSaturation(spec SaturationSpec) (SaturationResult, error) {
 			return res, err
 		}
 	}
+	res.Digest = n.Net.Digest()
 	if failure != nil {
 		return res, failure
 	}

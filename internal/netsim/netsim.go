@@ -141,6 +141,8 @@ type Network struct {
 	delayH     *telemetry.Histogram
 	arriveFn   func(any)
 	free       *transit
+	// digest is the running trajectory digest Digest reads.
+	digest uint64
 
 	// DropInFlight re-checks the link at the arrival instant: a message
 	// accepted while the link was up is dropped if the link went down while
@@ -331,6 +333,7 @@ func (n *Network) admit(src, dst *Site, msg *Message, deliver func(Message)) err
 
 	// Loopback: LAN latency only, no firewall (intra-site traffic).
 	if src == dst {
+		n.foldSend(src, dst, msg)
 		n.recordHop(msg, dst.LANLatency)
 		n.scheduleArrival(dst.LANLatency, src, dst, msg, deliver)
 		n.deliveredC.Inc()
@@ -362,9 +365,11 @@ func (n *Network) admit(src, dst *Site, msg *Message, deliver func(Message)) err
 		return link.downErr[dir]
 	}
 
+	n.foldSend(src, dst, msg)
 	if link.Loss > 0 && n.rnd.Bool(link.Loss) {
 		// Accepted then lost in flight.
 		n.lostC.Inc()
+		n.fold(fateWord(fateLost, src, dst))
 		return nil
 	}
 
@@ -401,16 +406,62 @@ func (n *Network) arriveTransit(x any) {
 
 // arrive lands one transit: the in-flight drop check, then delivery.
 func (n *Network) arrive(t *transit) {
+	n.fold(uint64(n.eng.Now()))
 	if n.DropInFlight && t.src != t.dst {
 		if l := t.src.linkTo(t.dst); l == nil || !l.up {
 			n.inflightC.Inc()
+			n.fold(fateWord(fateDropped, t.src, t.dst))
 			return
 		}
 	}
+	n.fold(fateWord(fateArrived, t.src, t.dst))
 	if n.DeliverHook != nil {
 		n.DeliverHook(t.msg)
 	}
 	t.deliver(t.msg)
+}
+
+// Digest is the network's trajectory digest: a running 64-bit mix of every
+// admitted message, folded in the order things happen. Each message adds
+// its send time, source and destination sites, service and size when it is
+// admitted, then its fate: lost at admission, or at its arrival instant the
+// arrival time and whether it landed or was dropped in flight. Two runs
+// that send and deliver the same messages at the same instants in the same
+// order have equal digests, and a message that moves changes the digest
+// even when it moves nothing else.
+func (n *Network) Digest() uint64 { return n.digest }
+
+// A message's fates, as folded into the digest.
+const (
+	fateSent = iota + 1
+	fateLost
+	fateArrived
+	fateDropped
+)
+
+// fateWord packs a fate and the message's site pair into one digest word.
+func fateWord(fate uint64, src, dst *Site) uint64 {
+	return fate<<60 | uint64(src.idx)<<30 | uint64(dst.idx)
+}
+
+// fold mixes one word into the digest. For a fixed digest the step is a
+// bijection of the word, and each later step a bijection of the digest, so
+// changing any one folded word changes the result.
+func (n *Network) fold(v uint64) {
+	h := (n.digest ^ v) * 0x9e3779b97f4a7c15
+	n.digest = h ^ h>>29
+}
+
+// foldSend folds one admitted message's send record into the digest.
+func (n *Network) foldSend(src, dst *Site, msg *Message) {
+	n.fold(uint64(n.eng.Now()))
+	n.fold(fateWord(fateSent, src, dst))
+	svc := uint64(14695981039346656037) // FNV-1a over the service label
+	for i := 0; i < len(msg.Service); i++ {
+		svc = (svc ^ uint64(msg.Service[i])) * 1099511628211
+	}
+	n.fold(svc)
+	n.fold(uint64(msg.Size))
 }
 
 // recordHop records one admitted hop as a net.deliver span under the

@@ -336,3 +336,52 @@ func TestReachableLoopback(t *testing.T) {
 		t.Fatal("loopback should always be reachable")
 	}
 }
+
+// The digest repeats for the same messages and moves when any one message's
+// size, service, order or fate changes, also when no arrival time moves.
+func TestDigestSeesEveryMessage(t *testing.T) {
+	type send struct {
+		to      SiteID
+		service string
+		size    int
+	}
+	run := func(loss float64, dropInFlight bool, sends ...send) uint64 {
+		eng, n := testNet(t)
+		n.DropInFlight = dropInFlight
+		for _, id := range []SiteID{"a", "b", "c"} {
+			n.AddSite(id).Firewall.AllowAll()
+		}
+		n.Connect("a", "b", Link{Latency: sim.Millisecond, Loss: loss})
+		n.Connect("a", "c", Link{Latency: sim.Millisecond})
+		for _, m := range sends {
+			if err := n.Send(Message{From: "a", To: m.to, Service: m.service, Size: m.size}, func(Message) {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if dropInFlight {
+			n.SetLinkUp("a", "b", false)
+		}
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return n.Digest()
+	}
+	toB, toC := send{"b", "bus", 10}, send{"c", "bus", 10}
+	base := run(0, false, toB, toC)
+	if again := run(0, false, toB, toC); again != base {
+		t.Fatalf("same messages, digests %#x and %#x", base, again)
+	}
+	for name, d := range map[string]uint64{
+		"size":      run(0, false, send{"b", "bus", 11}, toC),
+		"service":   run(0, false, send{"b", "bux", 10}, toC),
+		"order":     run(0, false, toC, toB),
+		"lost":      run(1, false, toB, toC),
+		"dropped":   run(0, true, toB, toC),
+		"loopback":  run(0, false, toB, send{"a", "bus", 10}),
+		"extra msg": run(0, false, toB, toC, toC),
+	} {
+		if d == base {
+			t.Errorf("%s: digest %#x did not move", name, d)
+		}
+	}
+}
