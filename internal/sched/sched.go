@@ -259,20 +259,32 @@ type queuedJob struct {
 	attempt   int
 	reroutes  int
 	notBefore sim.Time
-	// epoch invalidates the outstanding dispatch's completion callback when
-	// the recovery sweep rescues the job: the callback captures the epoch at
-	// dispatch and a stale reply (the RPC of a rescued job eventually timing
-	// out or even succeeding) is dropped instead of double-completing.
-	epoch uint64
-	// inst/host identify the outstanding dispatch for the recovery sweep.
-	inst string
-	host netsim.SiteID
 
 	// Trace spans live here — already-heap state — so the traced path adds
 	// no allocations beyond the queuedJob itself. qspan covers enqueue ->
-	// dispatch (or expiry/cancel); dspan covers dispatch -> completion.
-	qspan, dspan trace.Span
-	qctx, dctx   trace.Context
+	// dispatch (or expiry/cancel), the flight's dspan dispatch -> settle.
+	qspan trace.Span
+	qctx  trace.Context
+	flight
+}
+
+// flight is a job's latest dispatch, embedded in its queuedJob so that a
+// dispatch allocates nothing of its own; a job has at most one flight out.
+// launch, settle and rescue are the only code that moves the scheduler's
+// in-flight accounting (inflight, flying, flights) or the epoch.
+type flight struct {
+	// epoch invalidates an outstanding dispatch's completion callback when
+	// the recovery sweep rescues the job: the callback captures the epoch at
+	// launch and a stale reply (the RPC of a rescued job eventually timing
+	// out or even succeeding) is dropped instead of double-completing.
+	epoch uint64
+	// inst/host name the dispatch's instrument; in is that instrument,
+	// resolved at launch (nil when a site foreign to the scheduler hosts it).
+	inst  string
+	host  netsim.SiteID
+	in    *instrument.Instrument
+	dspan trace.Span
+	dctx  trace.Context
 }
 
 // tenantQ is one tenant's FIFO plus its fair-share virtual time: each
@@ -376,8 +388,9 @@ type Scheduler struct {
 	order    []*siteSched   // every site, sorted by ID: the deterministic sweep order
 	inflight map[string]int // dispatched-but-incomplete per instrument instance
 	transit  []*queuedJob   // stolen jobs riding the WAN between site queues
-	// flights tracks dispatched jobs in dispatch order for the recovery
-	// sweep; only populated under Options.Recover.
+	// flights holds the jobs in flight in launch order for the recovery
+	// sweep; only populated under Options.Recover. It is bounded by the
+	// fleet's Capacity, so settle's order-keeping removal stays cheap.
 	flights []*queuedJob
 
 	queued int
@@ -689,10 +702,7 @@ func (s *Scheduler) effClass(t *tenantQ) int {
 	if s.opts.AgingStep > 0 && len(t.jobs) > 0 {
 		c += int((s.eng.Now() - t.jobs[0].enqueued) / s.opts.AgingStep)
 	}
-	if c > int(ClassUrgent)+1 {
-		c = int(ClassUrgent) + 1
-	}
-	return c
+	return min(c, int(ClassUrgent)+1)
 }
 
 // syncVtime pulls a tenant re-entering service up to the active minimum so
@@ -817,14 +827,14 @@ func (s *Scheduler) tryDispatch(ss *siteSched, t *tenantQ) bool {
 	if s.isBlocked(&qj.job) {
 		return false
 	}
-	rec, ok := s.route(ss, qj.job)
+	rec, in, ok := s.route(ss, qj.job)
 	if !ok {
 		s.blocked = append(s.blocked, &qj.job)
 		return false
 	}
 	t.jobs = t.jobs[1:]
 	s.dequeued(ss, t, 1)
-	s.dispatch(ss, t, qj, rec)
+	s.dispatch(ss, t, qj, rec, in)
 	return true
 }
 
@@ -893,7 +903,8 @@ func (s *Scheduler) instrumentFor(rec *discovery.Record) *instrument.Instrument 
 }
 
 // route scores every compatible instrument in the federation and returns
-// the cheapest: expected wait from scheduler-tracked in-flight load, a
+// the cheapest, with the live instrument behind it when this scheduler
+// hosts it: expected wait from scheduler-tracked in-flight load, a
 // penalty for instruments mid-calibration, and the WAN round trip from the
 // origin. Down instruments and saturated instruments are skipped; ties
 // break on instance name for determinism.
@@ -902,11 +913,12 @@ func (s *Scheduler) instrumentFor(rec *discovery.Record) *instrument.Instrument 
 // directory through the registry's allocation-free BrowseFunc index
 // instead of cloning the record set; the returned record shares the
 // registry's capability maps and is read-only by contract.
-func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, bool) {
+func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, *instrument.Instrument, bool) {
 	r := s.eng.Prof.Enter(prof.SiteSchedRoute)
 	defer r.End()
 	s.probesC.Inc()
 	var best *discovery.Record
+	var bestIn *instrument.Instrument
 	bestScore := sim.Time(0)
 	ss.bind.Registry.BrowseFunc(j.Kind, func(rec *discovery.Record) bool {
 		for cap, floor := range j.MinCaps {
@@ -922,7 +934,8 @@ func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, bool) {
 		}
 		est := s.estimate(rec)
 		score := sim.Time(s.inflight[rec.Instance])*est + s.rtt(ss.bind.ID, rec.Addr.Site)
-		if in := s.instrumentFor(rec); in != nil {
+		in := s.instrumentFor(rec)
+		if in != nil {
 			switch in.State() {
 			case instrument.StateDown:
 				return true
@@ -931,55 +944,47 @@ func (s *Scheduler) route(ss *siteSched, j Job) (discovery.Record, bool) {
 			}
 		}
 		if best == nil || score < bestScore || (score == bestScore && rec.Instance < best.Instance) {
-			best, bestScore = rec, score
+			best, bestIn, bestScore = rec, in, score
 		}
 		return true
 	})
 	if best == nil {
-		return discovery.Record{}, false
+		return discovery.Record{}, nil, false
 	}
-	return *best, true
+	return *best, bestIn, true
 }
 
-// dispatch ships the job to the chosen instrument over the bus and wires
-// the completion path: accounting, metrics, the submitter's callback, and
-// a pump of the instrument's host site (which observed capacity free up)
-// then the origin site.
-func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec discovery.Record) {
-	inst := rec.Instance
-	s.inflight[inst]++
-	s.flying++
-	qj.inst = inst
-	qj.host = rec.Addr.Site
+// dispatch launches the job's flight to the chosen instrument over the bus
+// and wires the completion path: settling the flight, metrics, the
+// submitter's callback, and a pump of the instrument's host site (which
+// observed capacity free up) then the origin site.
+func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec discovery.Record, in *instrument.Instrument) {
+	s.launch(qj, &rec, in)
 	epoch := qj.epoch
-	if s.opts.Recover {
-		s.flights = append(s.flights, qj)
-	}
 	wait := s.eng.Now() - qj.enqueued
 	s.eng.Prof.Sample(prof.SiteSchedRoute, wait.Std(), qj.job.Trace.TraceID())
 	s.waitH.Observe(wait.Seconds())
 	if t.waitHist != nil {
 		t.waitHist.Observe(wait.Seconds())
 	}
+	origin, host := ss.bind.ID, qj.host
 	s.dispatchedC.Inc()
-	if rec.Addr.Site != ss.bind.ID {
+	if host != origin {
 		s.remoteC.Inc()
 	}
 	s.observe(DecisionDispatch, qj, "")
 	s.gauges()
 
-	origin := ss.bind.ID
-	host := rec.Addr.Site
 	if qj.job.Trace.Enabled() {
 		now := s.eng.Now()
 		// The queue span ends where the dispatch span begins; both are
 		// siblings under the submitting experiment, so queue wait and
 		// dispatch latency attribute to scheduling separately.
 		qj.qspan.SetAttr("wait_s", wait.Seconds())
-		qj.qspan.SetStr("instance", inst)
+		qj.qspan.SetStr("instance", qj.inst)
 		qj.qctx.Finish(&qj.qspan, now)
-		qj.job.Trace.Point(now, string(origin), trace.KindSchedRoute, inst)
-		qj.dspan, qj.dctx = qj.job.Trace.Start(now, string(host), trace.KindSchedRun, inst)
+		qj.job.Trace.Point(now, string(origin), trace.KindSchedRoute, qj.inst)
+		qj.dspan, qj.dctx = qj.job.Trace.Start(now, string(host), trace.KindSchedRun, qj.inst)
 		if host != origin {
 			qj.dspan.SetStr("origin", string(origin))
 		}
@@ -992,10 +997,7 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 	}
 	// Timeout covers queueing plus the action: time already spent waiting
 	// in the scheduler queue comes out of the RPC budget.
-	remaining := qj.job.Timeout - (s.eng.Now() - qj.enqueued)
-	if remaining < sim.Second {
-		remaining = sim.Second
-	}
+	remaining := max(qj.job.Timeout-wait, sim.Second)
 	s.fab.Call(bus.CallOpts{
 		From:    bus.Address{Site: origin, Name: "sched"},
 		To:      rec.Addr,
@@ -1013,8 +1015,7 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 			s.metrics.Counter("sched.stale_replies").Inc()
 			return
 		}
-		s.endFlight(qj)
-		qj.dctx.Finish(&qj.dspan, s.eng.Now())
+		s.settle(qj, "")
 		if err != nil && qj.attempt < qj.job.MaxRetries {
 			s.failuresC.Inc()
 			s.retry(qj, err)
@@ -1043,19 +1044,44 @@ func (s *Scheduler) dispatch(ss *siteSched, t *tenantQ, qj *queuedJob, rec disco
 	})
 }
 
-// endFlight settles in-flight accounting for a dispatch reaching its
-// outcome (completion, failure, or rescue).
-func (s *Scheduler) endFlight(qj *queuedJob) {
+// launch sends qj's flight to the instrument behind rec (in, when this
+// scheduler hosts it) and counts it against that instrument's cap.
+func (s *Scheduler) launch(qj *queuedJob, rec *discovery.Record, in *instrument.Instrument) {
+	qj.inst, qj.host, qj.in = rec.Instance, rec.Addr.Site, in
+	s.inflight[qj.inst]++
+	s.flying++
+	if s.opts.Recover {
+		s.flights = append(s.flights, qj)
+	}
+}
+
+// settle lands qj's flight, on its RPC's outcome or on a rescue: the
+// instrument slot frees and the dispatch span ends, marked with outcome if
+// there is one. The flight leaves flights in place, not by a swap, so the
+// recovery sweep keeps visiting flights in launch order.
+func (s *Scheduler) settle(qj *queuedJob, outcome string) {
 	s.inflight[qj.inst]--
 	s.flying--
-	if s.opts.Recover {
-		for i, o := range s.flights {
-			if o == qj {
-				s.flights = append(s.flights[:i], s.flights[i+1:]...)
-				break
-			}
-		}
+	if i := slices.Index(s.flights, qj); i >= 0 {
+		s.flights = slices.Delete(s.flights, i, i+1)
 	}
+	if outcome != "" {
+		qj.dspan.SetStr("outcome", outcome)
+	}
+	qj.dctx.Finish(&qj.dspan, s.eng.Now())
+}
+
+// rescue pulls qj's lost flight back: a new epoch makes the outstanding
+// RPC's eventual reply stale, the flight settles, and the job returns to
+// its origin queue to be rerouted on the next pump, which excludes down and
+// unreachable hosts. Rescues do not consume the retry budget; the job's
+// Timeout bounds how long rerouting can go on.
+func (s *Scheduler) rescue(qj *queuedJob, reason string) {
+	qj.epoch++
+	s.settle(qj, "rescued")
+	qj.reroutes++
+	s.observe(DecisionRescue, qj, reason)
+	s.requeue(qj, reason, trace.KindSchedRequeue, 0)
 }
 
 // retry consumes one unit of the job's MaxRetries budget and re-queues it
@@ -1064,13 +1090,12 @@ func (s *Scheduler) endFlight(qj *queuedJob) {
 // with no failures never touches the stream.
 func (s *Scheduler) retry(qj *queuedJob, cause error) {
 	qj.attempt++
+	var t *tenantQ
 	if ss := s.sites[qj.job.Origin]; ss != nil {
-		if t := ss.tenants[qj.job.Tenant]; t != nil && t.retriesC != nil {
-			t.retriesC.Inc()
-		} else {
-			s.metrics.Counter(telemetry.Key("sched.retries",
-				"site", string(qj.job.Origin), "tenant", qj.job.Tenant)).Inc()
-		}
+		t = ss.tenants[qj.job.Tenant]
+	}
+	if t != nil && t.retriesC != nil {
+		t.retriesC.Inc()
 	} else {
 		s.metrics.Counter(telemetry.Key("sched.retries",
 			"site", string(qj.job.Origin), "tenant", qj.job.Tenant)).Inc()
@@ -1084,62 +1109,35 @@ func (s *Scheduler) retry(qj *queuedJob, cause error) {
 	s.requeue(qj, "failure", trace.KindSchedRetry, backoff)
 }
 
-// recoverInFlight rescues dispatched jobs whose host instrument is down or
-// whose host site is no longer reachable from the job's origin: each is
-// pulled back into its origin queue (the outstanding RPC's eventual reply
-// is invalidated via the epoch) and rerouted on the next pump — which
-// excludes down and unreachable hosts. Rescues do not consume the retry
-// budget; the job's Timeout bounds how long rerouting can go on.
+// recoverInFlight rescues, in launch order, every flight whose host
+// instrument is down or whose host site is no longer reachable from the
+// job's origin.
 func (s *Scheduler) recoverInFlight() {
-	if len(s.flights) == 0 {
-		return
-	}
-	var rescued []*queuedJob
-	keep := s.flights[:0]
-	for _, qj := range s.flights {
-		if s.flightLost(qj) {
-			rescued = append(rescued, qj)
-			continue
+	n := len(s.flights)
+	for i := 0; i < len(s.flights); {
+		if reason := s.flightLost(s.flights[i]); reason != "" {
+			s.rescue(s.flights[i], reason) // settling takes it out at i
+		} else {
+			i++
 		}
-		keep = append(keep, qj)
 	}
-	s.flights = keep
-	for _, qj := range rescued {
-		qj.epoch++
-		s.inflight[qj.inst]--
-		s.flying--
-		qj.dspan.SetStr("outcome", "rescued")
-		qj.dctx.Finish(&qj.dspan, s.eng.Now())
-		qj.reroutes++
-		reason := "site-down"
-		if !s.net.Reachable(qj.job.Origin, qj.host, "bus") {
-			reason = "unreachable"
-		}
-		s.observe(DecisionRescue, qj, reason)
-		s.requeue(qj, reason, trace.KindSchedRequeue, 0)
-	}
-	if len(rescued) > 0 {
+	if len(s.flights) < n {
 		s.pumpAll()
 	}
 }
 
-// flightLost reports whether an outstanding dispatch can no longer
-// complete usefully: its instrument is down, or its host site has
-// partitioned away from the job's origin.
-func (s *Scheduler) flightLost(qj *queuedJob) bool {
+// flightLost names why an outstanding dispatch can no longer complete
+// usefully — its host site has partitioned away from the job's origin
+// ("unreachable") or its instrument is down ("site-down") — or returns ""
+// while it still can.
+func (s *Scheduler) flightLost(qj *queuedJob) string {
 	if !s.net.Reachable(qj.job.Origin, qj.host, "bus") {
-		return true
+		return "unreachable"
 	}
-	host := s.sites[qj.host]
-	if host == nil {
-		return false
+	if qj.in != nil && qj.in.State() == instrument.StateDown {
+		return "site-down"
 	}
-	id := qj.inst
-	if i := strings.IndexByte(id, '/'); i >= 0 {
-		id = id[i+1:]
-	}
-	in, _ := host.bind.Fleet.Get(id)
-	return in != nil && in.State() == instrument.StateDown
+	return ""
 }
 
 // requeueCounter resolves sched.requeues{reason=...} through a small

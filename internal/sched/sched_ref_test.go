@@ -82,13 +82,13 @@ func (s *Scheduler) refTryDispatch(ss *siteSched, t *tenantQ) bool {
 		s.failExpired(qj, now)
 		return true
 	}
-	rec, ok := s.route(ss, qj.job)
+	rec, in, ok := s.route(ss, qj.job)
 	if !ok {
 		return false
 	}
 	t.jobs = t.jobs[1:]
 	s.dequeued(ss, t, 1)
-	s.dispatch(ss, t, qj, rec)
+	s.dispatch(ss, t, qj, rec, in)
 	return true
 }
 
@@ -99,6 +99,9 @@ type scenario struct {
 	*testbed
 	since   [][]numbered
 	decided int
+	// flown models the live flights: the sample IDs dispatched and not yet
+	// settled, in dispatch order.
+	flown []string
 }
 
 type numbered struct {
@@ -142,7 +145,13 @@ func newScenario(t *testing.T, seed uint64, byKind *[DecisionSteal + 1]int) *sce
 		sc.decided++
 		if byKind != nil {
 			byKind[d.Kind]++
-			checkOrder(t, tb.s)
+			switch d.Kind {
+			case DecisionDispatch:
+				sc.flown = append(sc.flown, d.Job)
+			case DecisionComplete, DecisionFail, DecisionRetry, DecisionRescue:
+				sc.flown = slices.DeleteFunc(sc.flown, func(j string) bool { return j == d.Job })
+			}
+			checkOrder(t, tb.s, sc.flown)
 		}
 	}
 	// A scenario's tenants draw from a few requirements, so heads repeat.

@@ -392,9 +392,9 @@ func TestReleaseTenantCancelsQueuedJobs(t *testing.T) {
 		t.Fatalf("queue depth = %d before release", tb.s.QueueDepth())
 	}
 
-	checkOrder(t, tb.s)
+	checkOrder(t, tb.s, nil)
 	tb.s.ReleaseTenant("dead")
-	checkOrder(t, tb.s)
+	checkOrder(t, tb.s, nil)
 	if tb.s.QueueDepth() != 0 {
 		t.Fatalf("queue depth = %d after release", tb.s.QueueDepth())
 	}
@@ -428,7 +428,7 @@ func TestReleaseTenantCancelsStolenInTransit(t *testing.T) {
 		t.Fatal("no steal occurred; scenario did not form")
 	}
 	tb.s.ReleaseTenant("t")
-	checkOrder(t, tb.s)
+	checkOrder(t, tb.s, nil)
 	tb.runFor(30 * sim.Minute)
 
 	// Every job reaches exactly one terminal outcome: the in-flight ones
@@ -610,9 +610,14 @@ func TestTryDispatchFailsFastOnExpiredJob(t *testing.T) {
 // checkOrder asserts the persistent service order's invariant at every site
 // — exactly the tenants with queued jobs, strictly ascending in fairOrder —
 // that its other two readers still see what the old map scans saw: byID
-// the sorted ids of the busy tenants, syncVtime the lowest busy vtime — and
-// that the site and federation queue counts equal what the FIFOs hold.
-func checkOrder(t *testing.T, s *Scheduler) {
+// the sorted ids of the busy tenants, syncVtime the lowest busy vtime —
+// that the site and federation queue counts equal what the FIFOs hold, and
+// that the per-instrument in-flight counts sum to the in-flight total.
+// Under Recover the live flights also number that total and, when flown
+// (the sample IDs dispatched and not yet settled, in dispatch order) is
+// non-nil, they are exactly flown, in that order.
+func checkOrder(t *testing.T, s *Scheduler, flown []string) {
+	checkFlights(t, s, flown)
 	queued := 0
 	for _, ss := range s.order {
 		var busy []string
@@ -664,6 +669,74 @@ func checkOrder(t *testing.T, s *Scheduler) {
 	}
 }
 
+func checkFlights(t *testing.T, s *Scheduler, flown []string) {
+	sum := 0
+	for inst, n := range s.inflight {
+		if n < 0 {
+			t.Fatalf("instrument %s: %d in flight", inst, n)
+		}
+		sum += n
+	}
+	if sum != s.flying {
+		t.Fatalf("per-instrument in-flight counts sum to %d, in-flight total is %d", sum, s.flying)
+	}
+	if !s.opts.Recover {
+		if len(s.flights) != 0 {
+			t.Fatalf("%d flights kept without Recover", len(s.flights))
+		}
+		return
+	}
+	if len(s.flights) != s.flying {
+		t.Fatalf("%d live flights, in-flight total is %d", len(s.flights), s.flying)
+	}
+	if flown == nil {
+		return
+	}
+	var live []string
+	for _, qj := range s.flights {
+		live = append(live, qj.job.Cmd.SampleID)
+	}
+	if !slices.Equal(live, flown) {
+		t.Fatalf("live flights %v, dispatched and unsettled in dispatch order %v", live, flown)
+	}
+}
+
+// TestRescueSweepKeepsDispatchOrder rescues two flights in one sweep after
+// an earlier flight settled: they return to the queue, and are rescued, in
+// the order they were dispatched, not in the order a removal left them.
+func TestRescueSweepKeepsDispatchOrder(t *testing.T) {
+	tb := newTestbed(t, []netsim.SiteID{"a"}, Options{Recover: true, MaxInFlightPerInstrument: 3})
+	robot := tb.addBatchReactor("a", "batch-a") // 30-minute actions, one at a time
+	tb.converge()
+	var rescued []string
+	tb.s.Observer = func(d Decision) {
+		if d.Kind == DecisionRescue {
+			rescued = append(rescued, d.Job)
+		}
+	}
+	for _, id := range []string{"s-1", "s-2", "s-3"} {
+		tb.s.Submit(Job{Tenant: "t", Origin: "a", Kind: instrument.KindSynthesis, Cmd: validCmd(id)},
+			func(instrument.Result, error) {})
+	}
+	tb.runFor(40 * sim.Minute) // s-1 completes; s-2 runs, s-3 waits on the robot
+	if tb.s.InFlight() != 2 || tb.s.metrics.Counter("sched.completed").Value() != 1 {
+		t.Fatalf("want s-1 settled and two flights out, got %d in flight", tb.s.InFlight())
+	}
+	robot.ForceDown(2 * sim.Hour)
+	tb.runFor(2 * sim.Minute) // one sweep rescues both
+	if !slices.Equal(rescued, []string{"s-2", "s-3"}) {
+		t.Fatalf("rescued %v, want [s-2 s-3] in dispatch order", rescued)
+	}
+	var queued []string
+	for _, qj := range tb.s.sites["a"].tenants["t"].jobs {
+		queued = append(queued, qj.job.Cmd.SampleID)
+	}
+	if !slices.Equal(queued, []string{"s-2", "s-3"}) {
+		t.Fatalf("requeued %v, want [s-2 s-3] in dispatch order", queued)
+	}
+	checkOrder(t, tb.s, nil)
+}
+
 // TestSaturatedPumpIsFree pins what a pump against a saturated fleet costs:
 // no allocation, and one route probe per distinct requirement however many
 // tenants queue behind it.
@@ -695,7 +768,7 @@ func TestSaturatedPumpIsFree(t *testing.T) {
 	if probes > float64(len(reqs)) {
 		t.Errorf("saturated pump made %.1f route probes for %d distinct requirements", probes, len(reqs))
 	}
-	checkOrder(t, tb.s)
+	checkOrder(t, tb.s, nil)
 	if tb.s.InFlight() != 1 || tb.s.QueueDepth() != 99 {
 		t.Errorf("pumping a saturated fleet moved work: %d in flight, %d queued", tb.s.InFlight(), tb.s.QueueDepth())
 	}
