@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/aisle-sim/aisle/internal/fabric"
 	"github.com/aisle-sim/aisle/internal/instrument"
 	"github.com/aisle-sim/aisle/internal/llm"
 	"github.com/aisle-sim/aisle/internal/netsim"
@@ -190,9 +189,6 @@ func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 		}
 	}
 
-	// Provenance: the campaign is an agent acting for the site.
-	c.agentID = n.Mesh.Prov.AddAgent("campaign:"+cfg.Name, map[string]string{"site": string(cfg.Site)})
-
 	n.Sched.Tenant(cfg.Site, sched.TenantConfig{
 		ID: cfg.Name, Weight: cfg.FairWeight, Class: cfg.Priority,
 	})
@@ -210,8 +206,7 @@ type campaign struct {
 	agent    *llm.Orchestrator
 	human    *llm.Human
 	approver *llm.ApprovalModel
-	goal     string         // the reasoning traces' goal line
-	agentID  fabric.AgentID // the campaign's provenance agent
+	goal     string // the reasoning traces' goal line
 
 	reuseStreak int
 	finished    bool
@@ -306,8 +301,7 @@ func (c *campaign) decide(intended param.Point, et *expTrace) llm.Proposal {
 }
 
 // ingest scores correctness, feeds the optimizer and knowledge base,
-// records provenance, characterizes if configured, and finally lands the
-// flight.
+// characterizes if configured, and finally lands the flight.
 func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace) {
 	c.rep.Executed++
 	if prop.Correct() {
@@ -329,13 +323,6 @@ func (c *campaign) ingest(prop llm.Proposal, res instrument.Result, et *expTrace
 	if c.cfg.UseKnowledge {
 		c.site.Knowledge.AddObservationT(et.ctxOr(), c.cfg.Model.Name(), prop.Emitted, value)
 	}
-
-	// Provenance + dataset record for this experiment.
-	prov := c.n.Mesh.Prov
-	entID := prov.AddEntity("result:"+res.SampleID, map[string]string{"objective": fmt.Sprintf("%.4f", value)})
-	actID := prov.AddActivity("experiment:"+res.SampleID, res.Started, res.Finished)
-	prov.WasGeneratedBy(entID, actID)
-	prov.WasAssociatedWith(actID, c.agentID)
 
 	// Characterization hop, through the scheduler like the synthesis (it
 	// lands wherever the kind has capacity, possibly at another site).

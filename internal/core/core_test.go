@@ -475,24 +475,3 @@ func TestCampaignWithCharacterization(t *testing.T) {
 		t.Fatal("characterization should add instrument time")
 	}
 }
-
-func TestProvenanceRecorded(t *testing.T) {
-	n := buildTestbed(t, 10, false, false)
-	defer n.Stop()
-	waitDiscovery(t, n)
-	var rep *CampaignReport
-	n.RunCampaign(CampaignConfig{
-		Name: "prov", Site: "ornl", Model: twin.Perovskite{},
-		Budget: 5, Mode: OrchAgentVerified, SynthKind: instrument.KindFlowReactor,
-	}, func(r *CampaignReport) { rep = r })
-	runUntilReport(t, n, &rep, 10*sim.Day)
-	if rep == nil {
-		t.Fatal("campaign incomplete")
-	}
-	if n.Mesh.Prov.Entities() < 5 {
-		t.Fatalf("provenance entities = %d, want >= 5", n.Mesh.Prov.Entities())
-	}
-	if err := n.Mesh.Prov.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

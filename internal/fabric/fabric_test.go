@@ -211,9 +211,7 @@ func TestFAIRScoring(t *testing.T) {
 		{Name: "plqy", Type: TypeNumber, Unit: "ratio", Required: true},
 	}})
 	ref := n.Put([]byte("data"))
-	ent := m.Prov.AddEntity("e1", nil)
-	act := m.Prov.AddActivity("a1", 0, 0)
-	m.Prov.WasGeneratedBy(ent, act)
+	m.Prov.AddEntity("e1")
 
 	full := n.Publish(Dataset{
 		ID: "good", Title: "Good dataset", Domain: "materials",

@@ -222,13 +222,10 @@ func (c *Curator) Curate(n *Node) CurationReport {
 				rep.Repairs++
 			}
 		}
-		// Provenance stub: if missing, record a minimal generation activity
-		// so lineage is at least anchored.
+		// Provenance anchor: if missing, record an entity for the dataset
+		// so its lineage is at least anchored.
 		if d.ProvRef == "" {
-			ent := c.Mesh.Prov.AddEntity("dataset:"+d.ID, map[string]string{"title": d.Title})
-			act := c.Mesh.Prov.AddActivity("curation:"+d.ID, n.mesh.eng.Now(), n.mesh.eng.Now())
-			c.Mesh.Prov.WasGeneratedBy(ent, act)
-			d.ProvRef = string(ent)
+			d.ProvRef = string(c.Mesh.Prov.AddEntity("dataset:" + d.ID))
 			rep.Repairs++
 		}
 

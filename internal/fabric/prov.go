@@ -1,245 +1,26 @@
 package fabric
 
-import (
-	"fmt"
-	"sort"
-
-	"github.com/aisle-sim/aisle/internal/sim"
-)
-
-// The provenance graph follows the PROV-O core: Entities (data), Activities
-// (processes bounded in time), and Agents (who/what is responsible), with
-// the standard relations wasGeneratedBy, used, wasAssociatedWith,
-// wasDerivedFrom, and actedOnBehalfOf. Autonomous decisions (M7) are
-// recorded as activities associated with their deciding agent, making every
-// AI decision traceable across facilities.
-
 // EntityID names a provenance entity.
 type EntityID string
 
-// ActivityID names a provenance activity.
-type ActivityID string
-
-// AgentID names a provenance agent.
-type AgentID string
-
-// Entity is a data artifact.
-type Entity struct {
-	ID    EntityID
-	Attrs map[string]string
-}
-
-// Activity is a time-bounded process.
-type Activity struct {
-	ID      ActivityID
-	Started sim.Time
-	Ended   sim.Time
-	Attrs   map[string]string
-}
-
-// Agent is a responsible party (human, software agent, instrument).
-type Agent struct {
-	ID    AgentID
-	Attrs map[string]string
-}
-
-// ProvGraph is an append-only provenance store.
+// ProvGraph is the federation's provenance store: the entities a dataset's
+// ProvRef can anchor its lineage to. FAIR scoring counts a dataset as
+// reusable only when its ProvRef names a recorded entity.
 type ProvGraph struct {
-	entities   map[EntityID]*Entity
-	activities map[ActivityID]*Activity
-	agents     map[AgentID]*Agent
-
-	generatedBy  map[EntityID]ActivityID   // entity -> activity
-	used         map[ActivityID][]EntityID // activity -> inputs
-	associated   map[ActivityID][]AgentID
-	derivedFrom  map[EntityID][]EntityID
-	actedFor     map[AgentID]AgentID
-	generatedSeq []EntityID // insertion order, for deterministic walks
+	entities map[EntityID]bool
 }
 
 // NewProvGraph returns an empty graph.
 func NewProvGraph() *ProvGraph {
-	return &ProvGraph{
-		entities:    make(map[EntityID]*Entity),
-		activities:  make(map[ActivityID]*Activity),
-		agents:      make(map[AgentID]*Agent),
-		generatedBy: make(map[EntityID]ActivityID),
-		used:        make(map[ActivityID][]EntityID),
-		associated:  make(map[ActivityID][]AgentID),
-		derivedFrom: make(map[EntityID][]EntityID),
-		actedFor:    make(map[AgentID]AgentID),
-	}
+	return &ProvGraph{entities: make(map[EntityID]bool)}
 }
 
 // AddEntity records an entity (idempotent by ID).
-func (g *ProvGraph) AddEntity(id string, attrs map[string]string) EntityID {
+func (g *ProvGraph) AddEntity(id string) EntityID {
 	eid := EntityID(id)
-	if _, ok := g.entities[eid]; !ok {
-		g.entities[eid] = &Entity{ID: eid, Attrs: attrs}
-		g.generatedSeq = append(g.generatedSeq, eid)
-	}
+	g.entities[eid] = true
 	return eid
 }
 
-// AddActivity records an activity.
-func (g *ProvGraph) AddActivity(id string, started, ended sim.Time) ActivityID {
-	aid := ActivityID(id)
-	if _, ok := g.activities[aid]; !ok {
-		g.activities[aid] = &Activity{ID: aid, Started: started, Ended: ended}
-	}
-	return aid
-}
-
-// AddAgent records an agent.
-func (g *ProvGraph) AddAgent(id string, attrs map[string]string) AgentID {
-	gid := AgentID(id)
-	if _, ok := g.agents[gid]; !ok {
-		g.agents[gid] = &Agent{ID: gid, Attrs: attrs}
-	}
-	return gid
-}
-
 // HasEntity reports whether the entity exists.
-func (g *ProvGraph) HasEntity(id EntityID) bool {
-	_, ok := g.entities[id]
-	return ok
-}
-
-// Entities reports the number of entities.
-func (g *ProvGraph) Entities() int { return len(g.entities) }
-
-// WasGeneratedBy links an entity to the activity that produced it.
-func (g *ProvGraph) WasGeneratedBy(e EntityID, a ActivityID) {
-	g.generatedBy[e] = a
-}
-
-// Used links an activity to an input entity.
-func (g *ProvGraph) Used(a ActivityID, e EntityID) {
-	g.used[a] = append(g.used[a], e)
-}
-
-// WasAssociatedWith links an activity to a responsible agent.
-func (g *ProvGraph) WasAssociatedWith(a ActivityID, ag AgentID) {
-	g.associated[a] = append(g.associated[a], ag)
-}
-
-// WasDerivedFrom links a derived entity to its source.
-func (g *ProvGraph) WasDerivedFrom(derived, source EntityID) {
-	g.derivedFrom[derived] = append(g.derivedFrom[derived], source)
-}
-
-// ActedOnBehalfOf records delegation between agents.
-func (g *ProvGraph) ActedOnBehalfOf(delegate, responsible AgentID) {
-	g.actedFor[delegate] = responsible
-}
-
-// Lineage returns every upstream entity reachable from e through
-// wasDerivedFrom and generatedBy/used chains, sorted.
-func (g *ProvGraph) Lineage(e EntityID) []EntityID {
-	seen := map[EntityID]bool{}
-	var walk func(EntityID)
-	walk = func(cur EntityID) {
-		for _, src := range g.derivedFrom[cur] {
-			if !seen[src] {
-				seen[src] = true
-				walk(src)
-			}
-		}
-		if act, ok := g.generatedBy[cur]; ok {
-			for _, in := range g.used[act] {
-				if !seen[in] {
-					seen[in] = true
-					walk(in)
-				}
-			}
-		}
-	}
-	walk(e)
-	out := make([]EntityID, 0, len(seen))
-	for id := range seen {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Responsible resolves the chain of responsibility for an entity: the
-// agents associated with its generating activity, with delegation expanded.
-func (g *ProvGraph) Responsible(e EntityID) []AgentID {
-	act, ok := g.generatedBy[e]
-	if !ok {
-		return nil
-	}
-	seen := map[AgentID]bool{}
-	var out []AgentID
-	for _, ag := range g.associated[act] {
-		cur := ag
-		for {
-			if !seen[cur] {
-				seen[cur] = true
-				out = append(out, cur)
-			}
-			next, ok := g.actedFor[cur]
-			if !ok || seen[next] {
-				break
-			}
-			cur = next
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Validate checks structural integrity: every referenced node exists and
-// the derivation graph is acyclic.
-func (g *ProvGraph) Validate() error {
-	for e, a := range g.generatedBy {
-		if _, ok := g.entities[e]; !ok {
-			return fmt.Errorf("fabric: generatedBy references unknown entity %s", e)
-		}
-		if _, ok := g.activities[a]; !ok {
-			return fmt.Errorf("fabric: generatedBy references unknown activity %s", a)
-		}
-	}
-	for a, es := range g.used {
-		if _, ok := g.activities[a]; !ok {
-			return fmt.Errorf("fabric: used references unknown activity %s", a)
-		}
-		for _, e := range es {
-			if _, ok := g.entities[e]; !ok {
-				return fmt.Errorf("fabric: used references unknown entity %s", e)
-			}
-		}
-	}
-	// Cycle check over wasDerivedFrom.
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[EntityID]int{}
-	var visit func(EntityID) error
-	visit = func(e EntityID) error {
-		color[e] = gray
-		for _, src := range g.derivedFrom[e] {
-			switch color[src] {
-			case gray:
-				return fmt.Errorf("fabric: provenance cycle through %s", src)
-			case white:
-				if err := visit(src); err != nil {
-					return err
-				}
-			}
-		}
-		color[e] = black
-		return nil
-	}
-	for _, e := range g.generatedSeq {
-		if color[e] == white {
-			if err := visit(e); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
+func (g *ProvGraph) HasEntity(id EntityID) bool { return g.entities[id] }
