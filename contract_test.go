@@ -114,7 +114,7 @@ func TestContractObserverAllocations(t *testing.T) {
 
 // macroAllocCeiling is the most heap objects one seed-42 macro run may
 // allocate, by per-campaign parallelism.
-var macroAllocCeiling = map[int]uint64{1: 60_176, 4: 63_087, 16: 63_077}
+var macroAllocCeiling = map[int]uint64{1: 43_955, 4: 45_579, 16: 45_990}
 
 func TestContractMacroAllocations(t *testing.T) {
 	if raceEnabled {

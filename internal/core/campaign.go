@@ -3,7 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 
 	"github.com/aisle-sim/aisle/internal/instrument"
 	"github.com/aisle-sim/aisle/internal/llm"
@@ -218,10 +219,15 @@ type campaign struct {
 	root trace.Span
 
 	// Pipeline state.
-	launched  int                    // experiments submitted and not permanently dropped
-	flying    int                    // proposals being decided or executing
-	seq       int                    // sample-ID sequence across concurrent flights
-	flyingPts map[string]param.Point // intended points in flight, by sample ID
+	launched int // experiments submitted and not permanently dropped
+	flying   int // proposals being decided or executing
+	seq      int // sample-ID sequence across concurrent flights
+	// flyingIDs and flyingPts are the sample IDs and intended points in
+	// flight, in launch order; a refill ask fantasizes over flyingPts in
+	// that order. It is the sample IDs' sorted order while the in-flight
+	// sequence numbers have the same digit count (all below 10,000).
+	flyingIDs []string
+	flyingPts []param.Point
 }
 
 // expTrace is one experiment's span state, heap-allocated only when the
@@ -402,19 +408,13 @@ func (c *campaign) fill() {
 	}
 }
 
-// inflightPoints lists the intended points currently executing, in a
-// deterministic order, so batch asks can fantasize over them.
-func (c *campaign) inflightPoints() []param.Point {
-	keys := make([]string, 0, len(c.flyingPts))
-	for k := range c.flyingPts {
-		keys = append(keys, k)
+// landPoint takes a sample's intended point out of the in-flight list,
+// keeping the rest in launch order.
+func (c *campaign) landPoint(sample string) {
+	if i := slices.Index(c.flyingIDs, sample); i >= 0 {
+		c.flyingIDs = slices.Delete(c.flyingIDs, i, i+1)
+		c.flyingPts = slices.Delete(c.flyingPts, i, i+1)
 	}
-	sort.Strings(keys)
-	out := make([]param.Point, len(keys))
-	for i, k := range keys {
-		out[i] = c.flyingPts[k]
-	}
-	return out
 }
 
 // nextPoint draws one intended point, fantasizing over the still-in-flight
@@ -430,8 +430,8 @@ func (c *campaign) inflightPoints() []param.Point {
 func (c *campaign) nextPoint() (param.Point, bool) {
 	var p param.Point
 	r := c.n.Prof.Enter(prof.SiteCoreDecide)
-	if fly := c.inflightPoints(); len(fly) > 0 {
-		p = c.opt.AskBatch(1, fly)[0]
+	if len(c.flyingPts) > 0 {
+		p = c.opt.AskBatch(1, c.flyingPts)[0]
 	} else {
 		p = c.opt.Ask()
 	}
@@ -466,15 +466,24 @@ func (c *campaign) tryReuse(p param.Point) bool {
 func (c *campaign) launch(intended param.Point) {
 	c.flying++
 	c.launched++
-	sample := fmt.Sprintf("%s-%04d", c.cfg.Name, c.seq)
+	sample := c.sampleID(c.seq)
 	c.seq++
-	if c.flyingPts == nil {
-		c.flyingPts = make(map[string]param.Point)
-	}
-	c.flyingPts[sample] = intended
+	c.flyingIDs = append(c.flyingIDs, sample)
+	c.flyingPts = append(c.flyingPts, intended)
 	et := c.beginExperiment(sample)
 	prop := c.decide(intended, et)
 	c.n.Eng.Schedule(prop.Latency, func() { c.submitSched(prop, sample, 0, et) })
+}
+
+// sampleID names the campaign's seq-th experiment "<name>-<seq>", with seq
+// zero-padded to at least four digits.
+func (c *campaign) sampleID(seq int) string {
+	var buf [64]byte
+	b := append(append(buf[:0], c.cfg.Name...), '-')
+	for d := 1000; d > 1 && seq < d; d /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // submitSched ships one proposal through the federation scheduler,
@@ -516,14 +525,14 @@ func (c *campaign) submitSched(prop llm.Proposal, sample string, failures int, e
 			}
 			// Give up on this point: release its slot and its budget so
 			// the pipeline replaces it.
-			delete(c.flyingPts, sample)
+			c.landPoint(sample)
 			c.flying--
 			c.launched--
 			c.endExperiment(et)
 			c.n.Eng.Schedule(0, c.fill)
 			return
 		}
-		delete(c.flyingPts, sample)
+		c.landPoint(sample)
 		c.ingest(prop, res, et)
 	})
 }

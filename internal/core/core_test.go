@@ -475,3 +475,14 @@ func TestCampaignWithCharacterization(t *testing.T) {
 		t.Fatal("characterization should add instrument time")
 	}
 }
+
+// Sample IDs keep the "%s-%04d" form the traces and golden exports carry,
+// past the four-digit padding too.
+func TestSampleIDMatchesSprintf(t *testing.T) {
+	c := &campaign{cfg: CampaignConfig{Name: "bench-007"}}
+	for _, seq := range []int{0, 7, 42, 999, 1000, 9999, 10000, 123456} {
+		if got, want := c.sampleID(seq), fmt.Sprintf("%s-%04d", c.cfg.Name, seq); got != want {
+			t.Errorf("sampleID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}
