@@ -389,8 +389,7 @@ type Scheduler struct {
 	inflight map[string]int // dispatched-but-incomplete per instrument instance
 	transit  []*queuedJob   // stolen jobs riding the WAN between site queues
 	// flights holds the jobs in flight in launch order for the recovery
-	// sweep; only populated under Options.Recover. It is bounded by the
-	// fleet's Capacity, so settle's order-keeping removal stays cheap.
+	// sweep, under Options.Recover only; at most Capacity() long.
 	flights []*queuedJob
 
 	queued int
@@ -702,7 +701,10 @@ func (s *Scheduler) effClass(t *tenantQ) int {
 	if s.opts.AgingStep > 0 && len(t.jobs) > 0 {
 		c += int((s.eng.Now() - t.jobs[0].enqueued) / s.opts.AgingStep)
 	}
-	return min(c, int(ClassUrgent)+1)
+	if c > int(ClassUrgent)+1 {
+		c = int(ClassUrgent) + 1
+	}
+	return c
 }
 
 // syncVtime pulls a tenant re-entering service up to the active minimum so
@@ -1055,10 +1057,9 @@ func (s *Scheduler) launch(qj *queuedJob, rec *discovery.Record, in *instrument.
 	}
 }
 
-// settle lands qj's flight, on its RPC's outcome or on a rescue: the
-// instrument slot frees and the dispatch span ends, marked with outcome if
-// there is one. The flight leaves flights in place, not by a swap, so the
-// recovery sweep keeps visiting flights in launch order.
+// settle lands qj's flight on its RPC's outcome or a rescue, marking the
+// dispatch span with outcome if there is one. The removal keeps flights in
+// launch order (a swap would reorder later rescue sweeps).
 func (s *Scheduler) settle(qj *queuedJob, outcome string) {
 	s.inflight[qj.inst]--
 	s.flying--
@@ -1072,10 +1073,9 @@ func (s *Scheduler) settle(qj *queuedJob, outcome string) {
 }
 
 // rescue pulls qj's lost flight back: a new epoch makes the outstanding
-// RPC's eventual reply stale, the flight settles, and the job returns to
-// its origin queue to be rerouted on the next pump, which excludes down and
-// unreachable hosts. Rescues do not consume the retry budget; the job's
-// Timeout bounds how long rerouting can go on.
+// RPC's eventual reply stale, and the job returns to its origin queue to be
+// rerouted on the next pump, which excludes down and unreachable hosts.
+// Rescues do not consume the retry budget; the Timeout bounds rerouting.
 func (s *Scheduler) rescue(qj *queuedJob, reason string) {
 	qj.epoch++
 	s.settle(qj, "rescued")
