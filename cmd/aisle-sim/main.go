@@ -279,8 +279,8 @@ func printReport(rep *aisle.CampaignReport) {
 
 // spineLines renders the live spine counters for the -watch loop: the
 // subsystem totals from the spine registry and the network's trajectory
-// digest, plus the profiler's
-// per-call-site region and sample counts when -profile wired one in.
+// digest, plus the profiler's per-call-site region and sample counts when
+// -profile wired one in.
 func spineLines(n *aisle.Network) string {
 	var b strings.Builder
 	// count reads a counter without creating it; one not yet emitted is 0.
