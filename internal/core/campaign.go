@@ -66,9 +66,6 @@ type CampaignConfig struct {
 	// FairWeight is the campaign's fair-share weight at the scheduler
 	// (default 1).
 	FairWeight float64
-	// Priority is the campaign's scheduler class. The zero value is
-	// normal priority.
-	Priority sched.Class
 }
 
 const (
@@ -191,7 +188,7 @@ func (n *Network) RunCampaign(cfg CampaignConfig, cb func(*CampaignReport)) {
 	}
 
 	n.Sched.Tenant(cfg.Site, sched.TenantConfig{
-		ID: cfg.Name, Weight: cfg.FairWeight, Class: cfg.Priority,
+		ID: cfg.Name, Weight: cfg.FairWeight,
 	})
 	c.fill()
 }

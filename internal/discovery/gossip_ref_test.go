@@ -227,7 +227,7 @@ func TestIsolatedPeerLeasesLapseLikeReference(t *testing.T) {
 				t.Fatalf("after 50s the isolated site resolves %s: %v", inst, ok)
 			}
 		}
-		if live := p.Got.dir.registries[s].Live(); i > 0 && live != 2*n {
+		if live := p.Got.dir.registries[s].live(); i > 0 && live != 2*n {
 			t.Fatalf("site %s holds %d live records, want all %d: peers that still gossip keep re-leasing", s, live, 2*n)
 		}
 	}

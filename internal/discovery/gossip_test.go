@@ -133,7 +133,7 @@ func TestKnownTombstoneIsNotReaccepted(t *testing.T) {
 		if _, ok := r.Resolve("ornl/xrd-1"); ok {
 			t.Fatalf("%s: de-registered instance resolves", s)
 		}
-		if len(r.Browse("_xrd._aisle")) != 0 || r.Live() != 0 {
+		if len(r.Browse("_xrd._aisle")) != 0 || r.live() != 0 {
 			t.Fatalf("%s: de-registered instance still listed", s)
 		}
 		if e := r.records["ornl/xrd-1"]; e == nil || !e.rec.Deleted {

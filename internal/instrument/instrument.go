@@ -207,9 +207,6 @@ func (in *Instrument) State() State { return in.state }
 // Metrics exposes instrument telemetry.
 func (in *Instrument) Metrics() *telemetry.Registry { return in.metrics }
 
-// Bias reports the current calibration bias (for tests and ablations).
-func (in *Instrument) Bias() float64 { return in.bias }
-
 // QueueDepth reports pending jobs (excluding the running one).
 func (in *Instrument) QueueDepth() int { return len(in.queue) }
 
@@ -218,14 +215,6 @@ func (in *Instrument) Completed() int { return in.completed }
 
 // Failures reports mid-run failures.
 func (in *Instrument) Failures() int { return in.failures }
-
-// Calibrations reports how many recalibration cycles have run.
-func (in *Instrument) Calibrations() int { return in.calCount }
-
-// AuthorizeOverride registers an operator allowed to bypass interlocks.
-func (in *Instrument) AuthorizeOverride(operator string) {
-	in.overrides[operator] = true
-}
 
 // Submit enqueues a command; cb receives the Result when the action
 // finishes (successfully or not). Validation failures surface immediately

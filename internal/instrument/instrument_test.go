@@ -2,6 +2,7 @@ package instrument
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/param"
@@ -68,8 +69,8 @@ func TestInterlockRejectsOutOfRange(t *testing.T) {
 
 func TestCustomInterlockAndOverride(t *testing.T) {
 	eng := sim.NewEngine()
-	in := NewFurnace(eng, rng.New(1), "furnace-1", "ornl", 800)
-	in.AuthorizeOverride("dr-jones")
+	in := newFurnace(eng, rng.New(1), "furnace-1", "ornl", 800)
+	in.overrides["dr-jones"] = true // an operator allowed to bypass interlocks
 
 	hot := param.Point{"anneal_C": 900, "anneal_min": 60} // within space, above interlock
 	var denied, allowed, forged Result
@@ -189,11 +190,11 @@ func TestCalibrationDriftTriggersRecalibration(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if in.Calibrations() == 0 {
+	if in.calCount == 0 {
 		t.Fatal("no recalibration despite strong drift")
 	}
-	if abs(in.Bias()) > 0.05+3*0.02 {
-		t.Fatalf("bias %v should stay near threshold after recalibrations", in.Bias())
+	if abs(in.bias) > 0.05+3*0.02 {
+		t.Fatalf("bias %v should stay near threshold after recalibrations", in.bias)
 	}
 }
 
@@ -385,4 +386,37 @@ func TestFaultSettersRoundTrip(t *testing.T) {
 	if in.FailureProb() != 0.5 || in.DriftPerAction() != 0.04 {
 		t.Fatalf("setters did not stick: prob=%v drift=%v", in.FailureProb(), in.DriftPerAction())
 	}
+}
+
+// newFurnace builds an annealing furnace with a tight thermal interlock.
+func newFurnace(eng *sim.Engine, r *rng.Stream, id, site string, maxSafeC float64) *Instrument {
+	space := param.Space{
+		{Name: "anneal_C", Lo: 100, Hi: 1200, Unit: "C"},
+		{Name: "anneal_min", Lo: 1, Hi: 2880, Unit: "min"},
+	}
+	return New(eng, r, Config{
+		Descriptor: Descriptor{
+			ID: id, Kind: KindFurnace, Vendor: "Acme Scientific", ModelName: "HeatWave",
+			Site: site,
+			Actions: []ActionSpec{{
+				Name: "anneal", Space: space,
+				Duration: 2 * sim.Hour,
+				Outputs:  []string{"ramp_ok"},
+			}},
+			Capabilities: map[string]float64{"temp_max": maxSafeC},
+		},
+		Synthesize: func(cmd Command, r *rng.Stream) map[string]float64 {
+			return map[string]float64{"ramp_ok": 1}
+		},
+		DurationJitter: 0.1,
+		FailureProb:    0.008,
+		RepairTime:     12 * sim.Hour,
+		DriftPerAction: 0.003,
+		Interlock: func(cmd Command) error {
+			if cmd.Params["anneal_C"] > maxSafeC {
+				return fmt.Errorf("setpoint %.0fC above safe limit %.0fC", cmd.Params["anneal_C"], maxSafeC)
+			}
+			return nil
+		},
+	})
 }

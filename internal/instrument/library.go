@@ -1,8 +1,6 @@
 package instrument
 
 import (
-	"fmt"
-
 	"github.com/aisle-sim/aisle/internal/param"
 	"github.com/aisle-sim/aisle/internal/rng"
 	"github.com/aisle-sim/aisle/internal/sim"
@@ -11,7 +9,7 @@ import (
 
 // This file is the instrument library: constructors for the equipment the
 // paper's workflows span — synthesis robots, flow reactors, diffractometers,
-// electron microscopes, spectrometers, furnaces, and HPC allocations — each
+// electron microscopes, spectrometers and HPC allocations — each
 // with realistic duty cycles. Two vendors ("SimCo" and "Acme Scientific")
 // are emulated with different duty-cycle personalities to exercise the
 // vendor-agnostic abstraction.
@@ -135,39 +133,6 @@ func NewSpectrometer(eng *sim.Engine, r *rng.Stream, id, site string) *Instrumen
 		FailureProb:    0.001,
 		RepairTime:     time2h(),
 		DriftPerAction: 0.001,
-	})
-}
-
-// NewFurnace builds an annealing furnace with a tight thermal interlock.
-func NewFurnace(eng *sim.Engine, r *rng.Stream, id, site string, maxSafeC float64) *Instrument {
-	space := param.Space{
-		{Name: "anneal_C", Lo: 100, Hi: 1200, Unit: "C"},
-		{Name: "anneal_min", Lo: 1, Hi: 2880, Unit: "min"},
-	}
-	return New(eng, r, Config{
-		Descriptor: Descriptor{
-			ID: id, Kind: KindFurnace, Vendor: "Acme Scientific", ModelName: "HeatWave",
-			Site: site,
-			Actions: []ActionSpec{{
-				Name: "anneal", Space: space,
-				Duration: 2 * sim.Hour,
-				Outputs:  []string{"ramp_ok"},
-			}},
-			Capabilities: map[string]float64{"temp_max": maxSafeC},
-		},
-		Synthesize: func(cmd Command, r *rng.Stream) map[string]float64 {
-			return map[string]float64{"ramp_ok": 1}
-		},
-		DurationJitter: 0.1,
-		FailureProb:    0.008,
-		RepairTime:     12 * sim.Hour,
-		DriftPerAction: 0.003,
-		Interlock: func(cmd Command) error {
-			if cmd.Params["anneal_C"] > maxSafeC {
-				return fmt.Errorf("setpoint %.0fC above safe limit %.0fC", cmd.Params["anneal_C"], maxSafeC)
-			}
-			return nil
-		},
 	})
 }
 

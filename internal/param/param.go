@@ -173,13 +173,6 @@ func (s Space) Cardinality() float64 {
 	return total
 }
 
-// ToUnit maps p into [0,1]^d in dimension order.
-func (s Space) ToUnit(p Point) []float64 {
-	u := make([]float64, len(s))
-	s.ToUnitInto(p, u)
-	return u
-}
-
 // ToUnitInto maps p into [0,1]^d writing into u (len(u) >= len(s)),
 // the allocation-free form batch scoring loops use.
 func (s Space) ToUnitInto(p Point, u []float64) {

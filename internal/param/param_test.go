@@ -95,7 +95,8 @@ func TestUnitRoundTrip(t *testing.T) {
 	f := func(a, b uint8) bool {
 		u := []float64{float64(a) / 255, float64(b) / 255}
 		p := s.FromUnit(u)
-		u2 := s.ToUnit(p)
+		u2 := make([]float64, len(s))
+		s.ToUnitInto(p, u2)
 		return math.Abs(u[0]-u2[0]) < 1e-9 && math.Abs(u[1]-u2[1]) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

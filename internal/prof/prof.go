@@ -96,9 +96,6 @@ func (s Site) Subsystem() string {
 	return name
 }
 
-// NumSites is the number of instrumented call-sites.
-func NumSites() int { return int(numSites) }
-
 // Options configures a Profiler. The zero value disables profiling.
 type Options struct {
 	// Enabled turns the profiler on. When false, New returns nil — the
