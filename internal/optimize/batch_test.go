@@ -8,7 +8,7 @@ import (
 )
 
 func TestAskBatchNonDestructiveAndDiverse(t *testing.T) {
-	b := NewBayes(sphereSpace(), rng.New(21), BayesOpts{InitSamples: 4})
+	b := NewBayes(sphereSpace(), rng.New(21), BayesOpts{initSamples: 4})
 	// Warm up past the LHS plan so batching engages the GP.
 	for i := 0; i < 8; i++ {
 		p := b.Ask()
@@ -55,7 +55,7 @@ func TestAskBatchDegenerateSizes(t *testing.T) {
 }
 
 func TestAskBatchAvoidsInflightPoints(t *testing.T) {
-	b := NewBayes(sphereSpace(), rng.New(23), BayesOpts{InitSamples: 4})
+	b := NewBayes(sphereSpace(), rng.New(23), BayesOpts{initSamples: 4})
 	for i := 0; i < 10; i++ {
 		p := b.Ask()
 		b.Tell(p, sphere(p))

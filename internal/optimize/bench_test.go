@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"github.com/aisle-sim/aisle/internal/param"
@@ -120,18 +121,39 @@ func refillState(n int, opts BayesOpts) (*Bayes, []param.Point) {
 
 // BenchmarkAskRefill measures the decision campaigns actually make: one
 // AskBatch(1, fly) refill with three points in flight, at the small
-// training sets (n <= 67) a 64-experiment campaign asks from.
+// training sets (n <= 67) a 64-experiment campaign asks from. scored/ask
+// is the number of pool candidates each ask scored exactly; the screen
+// fixes its threshold before any helper starts, so the count is the same
+// at every worker count.
 func BenchmarkAskRefill(b *testing.B) {
 	for _, n := range []int{16, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			bo, fly := refillState(n, BayesOpts{})
+			for len(bo.initPlan) > 0 {
+				bo.AskBatch(1, fly) // serve the warm-up plan untimed
+			}
+			scored := 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if got := bo.AskBatch(1, fly); len(got) != 1 {
 					b.Fatalf("AskBatch returned %d points", len(got))
 				}
+				scored += scoredExactly(bo)
 			}
+			b.ReportMetric(float64(scored)/float64(b.N), "scored/ask")
 		})
 	}
+}
+
+// scoredExactly counts the candidates the last ask scored exactly: the
+// screen leaves every other score at -Inf.
+func scoredExactly(bo *Bayes) int {
+	n := 0
+	for _, s := range bo.cand.scores {
+		if !math.IsInf(s, -1) {
+			n++
+		}
+	}
+	return n
 }

@@ -28,92 +28,52 @@ type Observation struct {
 	Weight float64
 }
 
-// Acquisition selects the BO acquisition function.
-type Acquisition int
-
-// Acquisition choices.
+// Every program asks with BayesOpts{}, so these are fixed.
 const (
-	AcqEI Acquisition = iota
-	AcqUCB
+	candidates      = 512  // uniform candidates per Ask
+	localCandidates = 64   // perturbations of the incumbent per Ask
+	eiMargin        = 0.01 // the expected-improvement exploration margin (xi)
+	gpNoise         = 1e-4 // GP observation-noise variance (standardized)
 )
 
-// BayesOpts configures a Bayesian optimizer.
+// BayesOpts configures a Bayesian optimizer. Programs pass the zero value;
+// in-package tests set the fields to shrink a scenario or vary the workers.
 type BayesOpts struct {
-	// InitSamples is the Latin-hypercube warm-up before the GP engages.
-	// Default max(5, dims+2).
-	InitSamples int
-	// Candidates is the random candidate pool per Ask. Default 512.
-	Candidates int
-	// LocalCandidates perturb the incumbent. Default 64.
-	LocalCandidates int
-	// Acq selects the acquisition function. Default EI.
-	Acq Acquisition
-	// UCBBeta is the exploration weight for AcqUCB. Default 2.
-	UCBBeta float64
-	// XI is the EI exploration margin. Default 0.01.
-	XI float64
-	// Kernel overrides the default Matérn-5/2.
-	Kernel Kernel
-	// Noise is the GP observation-noise variance. Default 1e-4.
-	Noise float64
-	// MaxFit bounds the GP training-set size; older observations beyond the
-	// bound are dropped (keeps the factor bounded in long campaigns).
-	// Default 256.
-	MaxFit int
-	// ScoreWorkers caps the goroutines that score the candidate pool, the
-	// asking goroutine included. Default (0) uses GOMAXPROCS. Scoring is a pure function of the
-	// shared posterior — workers consume no randomness and results merge
-	// by candidate index — so any worker count returns the identical
-	// point for a fixed seed.
-	ScoreWorkers int
+	initSamples int    // Latin-hypercube warm-up before the GP engages; max(5, dims+2)
+	kernel      Kernel // default Matérn-5/2
+	maxFit      int    // GP window: older observations are dropped; 256
+	// scoreWorkers caps the goroutines scoring the pool, the asking one
+	// included; 0 uses GOMAXPROCS. Scores are pure functions of the shared
+	// posterior, merged by candidate index, so any count proposes the same.
+	scoreWorkers int
 }
 
 func (o *BayesOpts) defaults(dims int) {
-	if o.InitSamples == 0 {
-		o.InitSamples = dims + 2
-		if o.InitSamples < 5 {
-			o.InitSamples = 5
-		}
+	if o.initSamples == 0 {
+		o.initSamples = max(5, dims+2)
 	}
-	if o.Candidates == 0 {
-		o.Candidates = 512
+	if o.kernel == nil {
+		o.kernel = defaultKernel(dims)
 	}
-	if o.LocalCandidates == 0 {
-		o.LocalCandidates = 64
-	}
-	if o.UCBBeta == 0 {
-		o.UCBBeta = 2
-	}
-	if o.XI == 0 {
-		o.XI = 0.01
-	}
-	if o.Kernel == nil {
-		o.Kernel = defaultKernel(dims)
-	}
-	if o.Noise == 0 {
-		o.Noise = 1e-4
-	}
-	if o.MaxFit == 0 {
-		o.MaxFit = 256
+	if o.maxFit == 0 {
+		o.maxFit = 256
 	}
 }
 
-// candPool holds the reusable candidate-generation and scoring buffers, so
-// a steady-state Ask allocates only the returned point. Candidates live as
-// flat rows of values in dimension order; only a returned candidate
-// becomes a param.Point.
+// candPool holds the reusable candidate and scoring buffers, so a warm Ask
+// allocates only the returned point: candidates are flat rows of values in
+// dimension order, and only a returned one becomes a param.Point.
 type candPool struct {
 	dims   int
 	vals   []float64   // flat candidate values, total*dims
 	units  []float64   // flat unit-cube coordinates, total*dims
 	uview  [][]float64 // per-candidate views into units
-	mu     []float64
-	va     []float64
+	bound  []float64   // mean bounds of the screened ask (screen.go)
+	order  []int32     // the candidates it scores exactly after the first block
 	scores []float64
 
-	// Fantasy-overlay scoring state (AskBatch k>1): standardized means,
-	// solve norms, prior variances, and the per-candidate forward solves
-	// that make each constant-liar update O(n) per candidate.
+	// AskBatch k>1 state: standardized means, solve norms, prior variances
+	// and the forward solves that make a constant-liar update O(n) each.
 	mustd  []float64
 	vvs    []float64
 	kxx    []float64
@@ -137,8 +97,8 @@ func (c *candPool) ensure(total, dims, workers int) {
 	for i := range c.uview {
 		c.uview[i] = c.units[i*dims : (i+1)*dims]
 	}
-	c.mu = growTo(c.mu, total)
-	c.va = growTo(c.va, total)
+	c.bound = growTo(c.bound, total)
+	c.order = growTo(c.order, total)
 	c.scores = growTo(c.scores, total)
 	c.scratch = growTo(c.scratch, workers)
 }
@@ -180,10 +140,10 @@ func NewBayes(space param.Space, rnd *rng.Stream, opts BayesOpts) *Bayes {
 		space: space,
 		rnd:   rnd.Fork("bayes"),
 		opts:  opts,
-		gp:    NewGP(opts.Kernel, opts.Noise),
+		gp:    NewGP(opts.kernel, gpNoise),
 		bestV: math.Inf(-1),
 	}
-	b.initPlan = space.SampleLHS(b.rnd, opts.InitSamples)
+	b.initPlan = space.SampleLHS(b.rnd, opts.initSamples)
 	return b
 }
 
@@ -205,13 +165,8 @@ func (b *Bayes) Seed(points []param.Point, values []float64, weight float64) {
 		b.obs = append(b.obs, Observation{Point: points[i], Value: values[i], Weight: weight})
 	}
 	b.stale = true
-	// Seeding replaces part of the LHS warm-up: each seeded point removes
-	// one pending init sample.
-	drop := len(points)
-	if drop > len(b.initPlan) {
-		drop = len(b.initPlan)
-	}
-	b.initPlan = b.initPlan[drop:]
+	// Each seeded point replaces one pending warm-up sample.
+	b.initPlan = b.initPlan[min(len(points), len(b.initPlan)):]
 }
 
 // Tell implements Optimizer.
@@ -318,46 +273,36 @@ func (b *Bayes) incumbent() float64 {
 	return best
 }
 
-// askScored draws one candidate pool, scores it against the current
-// posterior, and returns the argmax (first index wins ties). With no
+// askScored draws one candidate pool and returns its expected-improvement
+// argmax against the current posterior (first index wins ties). With no
 // scorable candidate it falls back to a uniform sample.
 func (b *Bayes) askScored(best float64) param.Point {
 	m := b.drawCandidates()
-	b.scoreCandidates(m, best)
-	idx := -1
-	bestScore := math.Inf(-1)
-	for i := 0; i < m; i++ {
-		if b.cand.scores[i] > bestScore {
-			bestScore = b.cand.scores[i]
-			idx = i
-		}
+	if idx := b.argmaxEI(m, best); idx >= 0 {
+		return b.space.PointOf(b.cand.row(idx))
 	}
-	if idx < 0 {
-		return b.space.Sample(b.rnd)
-	}
-	return b.space.PointOf(b.cand.row(idx))
+	return b.space.Sample(b.rnd)
 }
 
 // workers resolves the scoring worker count.
 func (b *Bayes) workers() int {
-	w := b.opts.ScoreWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+	if b.opts.scoreWorkers > 0 {
+		return b.opts.scoreWorkers
 	}
-	return w
+	return runtime.GOMAXPROCS(0)
 }
 
-// drawCandidates fills the pool with Candidates uniform samples plus
-// LocalCandidates perturbations of the incumbent, drawn straight into the
-// pool's flat rows and mapped to unit coordinates. Draws come from the
-// optimizer's own stream, in the same order as serial asks, so a fixed
-// seed proposes identical points regardless of scoring parallelism.
+// drawCandidates fills the pool with uniform samples plus perturbations of
+// the incumbent, drawn straight into the pool's flat rows and mapped to
+// unit coordinates. Draws come from the optimizer's own stream, in the
+// same order as serial asks, so a fixed seed proposes identical points
+// regardless of scoring parallelism.
 func (b *Bayes) drawCandidates() int {
 	dims := len(b.space)
-	m := b.opts.Candidates
+	m := candidates
 	total := m
 	if b.bestP != nil {
-		total += b.opts.LocalCandidates
+		total += localCandidates
 	}
 	c := &b.cand
 	c.ensure(total, dims, b.workers())
@@ -414,27 +359,6 @@ func (b *Bayes) shard(m int, f func(lo, hi, worker int)) {
 	wg.Wait()
 }
 
-// scoreCandidates computes acquisition scores for the first m pool
-// candidates against the GP posterior, fanning the allocation-free batch
-// predictor across the scoring workers.
-func (b *Bayes) scoreCandidates(m int, best float64) {
-	c := &b.cand
-	b.shard(m, func(lo, hi, w int) {
-		b.gp.PredictBatch(c.uview[lo:hi], c.mu[lo:hi], c.va[lo:hi], &c.scratch[w])
-		for i := lo; i < hi; i++ {
-			c.scores[i] = b.acquire(c.mu[i], c.va[i], best)
-		}
-	})
-}
-
-// acquire applies the configured acquisition function.
-func (b *Bayes) acquire(mu, variance, best float64) float64 {
-	if b.opts.Acq == AcqUCB {
-		return UCB(mu, variance, b.opts.UCBBeta)
-	}
-	return ExpectedImprovement(mu, variance, best, b.opts.XI)
-}
-
 // askFantasies proposes rem points against the current evidence plus any
 // already-fantasized rows. A single ask takes the same scoring path as
 // serial Ask; larger batches score one shared candidate pool and run the
@@ -487,7 +411,7 @@ func (b *Bayes) askFantasies(rem int, lie float64) []param.Point {
 				variance = 1e-12
 			}
 			variance = variance * gstd * gstd
-			if s := b.acquire(mu, variance, best); s > bestScore {
+			if s := ExpectedImprovement(mu, variance, best, eiMargin); s > bestScore {
 				bestScore = s
 				idx = i
 			}
@@ -583,8 +507,8 @@ func (b *Bayes) refit() {
 	b.stale = false
 	hi := len(b.obs)
 	lo := 0
-	if hi > b.opts.MaxFit {
-		lo = hi - b.opts.MaxFit
+	if hi > b.opts.maxFit {
+		lo = hi - b.opts.maxFit
 	}
 	if lo != b.gpLo || b.gpHi < lo {
 		if err := b.fullFit(lo, hi); err != nil {
@@ -652,7 +576,7 @@ func (b *Bayes) fullFit(lo, hi int) error {
 // (degenerate duplicates): the model is cleared and refits retry with
 // inflated noise.
 func (b *Bayes) gpFail(lo int) {
-	b.gp = NewGP(b.opts.Kernel, b.opts.Noise*10)
+	b.gp = NewGP(b.opts.kernel, gpNoise*10)
 	b.gpLo, b.gpHi = lo, lo
 }
 

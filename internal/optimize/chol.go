@@ -32,9 +32,6 @@ func (f *cholFactor) truncate(n int) {
 	}
 }
 
-// at returns L[i][j] (j <= i), for tests and diagnostics.
-func (f *cholFactor) at(i, j int) float64 { return f.l[rowOff(i)+j] }
-
 // factorize computes the factor of the symmetric matrix whose packed lower
 // triangle (diagonal included) is in a, adding jitter to the diagonal. It
 // reports whether the matrix (plus jitter) was positive definite. The

@@ -1,7 +1,7 @@
 // Package optimize implements the decision-making methods the paper's
 // orchestration layer coordinates (dimension 3): Gaussian-process surrogate
-// models, Bayesian optimisation with expected-improvement and UCB
-// acquisitions, nested discrete-continuous search (the Smart Dope strategy),
+// models, Bayesian optimisation with an expected-improvement acquisition,
+// nested discrete-continuous search (the Smart Dope strategy),
 // random and grid baselines, and cross-facility transfer seeding — the
 // mechanism behind milestone M9's "reduce required experiments by >30%".
 //
@@ -28,15 +28,6 @@ type Kernel interface {
 	Eval(a, b []float64) float64
 }
 
-// RBF is the squared-exponential kernel with shared length scale.
-type RBF struct {
-	LengthScale float64
-	Variance    float64
-}
-
-// Eval implements Kernel.
-func (k RBF) Eval(a, b []float64) float64 { return k.fromD2(sqDist(a, b)) }
-
 // sqDist is the squared Euclidean distance every stationary kernel here
 // is a function of.
 func sqDist(a, b []float64) float64 {
@@ -48,15 +39,8 @@ func sqDist(a, b []float64) float64 {
 	return d2
 }
 
-// fromD2 is the kernel value at squared distance d2 — the single copy of
-// the formula shared by Eval and the devirtualized row/block loops, so
-// training and prediction covariances can never drift apart.
-func (k RBF) fromD2(d2 float64) float64 {
-	return k.Variance * math.Exp(-d2/(2*k.LengthScale*k.LengthScale))
-}
-
 // Matern52 is the Matérn 5/2 kernel, the default for physical response
-// surfaces (twice-differentiable but less smooth than RBF).
+// surfaces (twice differentiable, rougher than a squared exponential).
 type Matern52 struct {
 	LengthScale float64
 	Variance    float64
@@ -79,14 +63,12 @@ func (k Matern52) fromD2(d2 float64) float64 {
 var ErrNotPD = errors.New("optimize: covariance matrix not positive definite")
 
 // GP is a Gaussian-process regressor over unit-cube inputs. Targets are
-// standardized internally; predictions are returned on the original scale.
-//
-// Observations arrive either in bulk (Fit, FitNoise) or one at a time
-// (Append, O(n^2) via a Cholesky rank-1 append); trailing observations can
-// be withdrawn with Truncate, which is how constant-liar fantasy batches
-// retract. Fit complexity is O(n^3), Append O(n^2), Predict O(n^2) per
-// point. GP methods are not safe for concurrent use; concurrent scoring
-// goes through PredictBatch with one PredictScratch per goroutine.
+// standardized internally; predictions are on the original scale.
+// Observations arrive in bulk (Fit, FitNoise, O(n^3)) or one at a time
+// (Append, an O(n^2) Cholesky row append); Truncate withdraws trailing ones,
+// which is how constant-liar fantasies retract. PredictBatch is O(n^2) per
+// point and is the only method safe for concurrent use, with one
+// PredictScratch per goroutine.
 type GP struct {
 	Kernel Kernel
 	// Noise is the observation noise variance (on standardized targets)
@@ -109,7 +91,6 @@ type GP struct {
 	kbuf   []float64 // packed covariance scratch for full factorizations
 	krow   []float64 // covariance row scratch for appends
 	frozen int       // trailing rows appended under frozen standardization
-	ps     PredictScratch
 }
 
 // NewGP returns a GP with the given kernel and noise variance.
@@ -205,7 +186,7 @@ func (g *GP) Append(x []float64, y, noise float64) error {
 // incremental posterior updates against frozen standardization, then
 // Truncate retracts the rows. It reports false when the appended row broke
 // positive definiteness; the caller must then Resync and rescore.
-// Predict/PredictBatch must not be called while frozen rows are pending.
+// PredictBatch must not be called while frozen rows are pending.
 func (g *GP) appendFrozen(x []float64, y, noise float64) bool {
 	g.pushObs(x, y, noise)
 	if g.jittered || !g.tryAppendRow(g.n-1) {
@@ -327,16 +308,12 @@ func (g *GP) resolve() {
 	g.fac.backInto(g.alpha, g.alpha)
 }
 
-// kernelRow fills dst[j] = k(x, x_j) for j < m. The common kernels are
-// devirtualized so the hot scoring loops run without interface calls; the
-// formulas are exactly the Eval implementations.
+// kernelRow fills dst[j] = k(x, x_j) for j < m. The default Matérn kernel
+// is devirtualized so the hot scoring loops run without interface calls;
+// the formula is exactly its Eval.
 func (g *GP) kernelRow(x, dst []float64, m int) {
 	switch k := g.Kernel.(type) {
 	case Matern52:
-		for j := 0; j < m; j++ {
-			dst[j] = k.fromD2(sqDist(x, g.xs[j*g.d:j*g.d+g.d]))
-		}
-	case RBF:
 		for j := 0; j < m; j++ {
 			dst[j] = k.fromD2(sqDist(x, g.xs[j*g.d:j*g.d+g.d]))
 		}
@@ -379,26 +356,13 @@ func growTo[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// Predict returns the posterior mean and variance at x. Not safe for
-// concurrent use (it shares the GP's internal scratch); concurrent callers
-// use PredictBatch with per-goroutine scratch.
-func (g *GP) Predict(x []float64) (mean, variance float64) {
-	if g.n == 0 {
-		return 0, 1
-	}
-	var mu, va [1]float64
-	xv := [1][]float64{x}
-	g.PredictBatch(xv[:], mu[:], va[:], &g.ps)
-	return mu[0], va[0]
-}
-
 // PredictBatch fills mu and variance for every candidate in xs, on the
 // original target scale. It allocates nothing once scratch has grown to
 // the training-set size: candidates are scored in blocks of eight so the
 // factor streams through cache once per block rather than once per
-// candidate. Each candidate's arithmetic is identical to a standalone
-// Predict, so results do not depend on batching or on how callers shard
-// xs across goroutines.
+// candidate. Each candidate's arithmetic is the same in every lane and
+// block, so results do not depend on batching or on how callers shard xs
+// across goroutines.
 func (g *GP) PredictBatch(xs [][]float64, mu, va []float64, scratch *PredictScratch) {
 	if g.n == 0 {
 		for i := range xs {
@@ -501,34 +465,22 @@ func (g *GP) scoreBlock(blk [][]float64, kbuf, v []lanes, mu, vv, kxx []float64)
 	}
 }
 
-// selfCov returns the prior variance k(x, x) of the devirtualized kernels,
+// selfCov returns the prior variance k(x, x) of the devirtualized kernel,
 // which for every finite x is fromD2(0); ok is false for other kernels.
 func selfCov(k Kernel) (kxx float64, ok bool) {
-	switch k := k.(type) {
-	case Matern52:
-		return k.fromD2(0), true
-	case RBF:
+	if k, ok := k.(Matern52); ok {
 		return k.fromD2(0), true
 	}
 	return 0, false
 }
 
 // kernelBlock fills kbuf[j][t] = k(blk[t], x_j), zeroing lanes past
-// len(blk). The common kernels are devirtualized; formulas match Eval
-// exactly.
+// len(blk). The default Matérn kernel is devirtualized; the formula
+// matches its Eval exactly.
 func (g *GP) kernelBlock(blk [][]float64, kbuf []lanes) {
 	d := g.d
 	switch k := g.Kernel.(type) {
 	case Matern52:
-		for j := range kbuf {
-			xj := g.xs[j*d : j*d+d]
-			kb := &kbuf[j]
-			*kb = lanes{}
-			for t, x := range blk {
-				kb[t] = k.fromD2(sqDist(x, xj))
-			}
-		}
-	case RBF:
 		for j := range kbuf {
 			xj := g.xs[j*d : j*d+d]
 			kb := &kbuf[j]
@@ -564,13 +516,8 @@ func ExpectedImprovement(mean, variance, best, xi float64) float64 {
 	return (mean-best-xi)*normCDF(z) + sd*normPDF(z)
 }
 
-// UCB scores a candidate with an upper confidence bound.
-func UCB(mean, variance, beta float64) float64 {
-	return mean + beta*math.Sqrt(variance)
-}
-
 // defaultKernel builds the default surrogate kernel for a dimensionality.
-func defaultKernel(dims int) Kernel {
+func defaultKernel(dims int) Matern52 {
 	// Length scale shrinks slowly with dimension so high-d spaces keep
 	// useful correlation.
 	return Matern52{LengthScale: 0.35 * math.Pow(float64(dims), 0.25), Variance: 1}

@@ -125,7 +125,7 @@ func TestPropertyTruncateRestoresPosterior(t *testing.T) {
 // worker count cannot influence which point wins.
 func TestParallelScoringMatchesSerial(t *testing.T) {
 	run := func(workers int) []string {
-		b := NewBayes(sphereSpace(), rng.New(77), BayesOpts{ScoreWorkers: workers})
+		b := NewBayes(sphereSpace(), rng.New(77), BayesOpts{scoreWorkers: workers})
 		var keys []string
 		for i := 0; i < 25; i++ {
 			p := b.Ask()
@@ -157,7 +157,7 @@ func TestParallelScoringMatchesSerial(t *testing.T) {
 // fantasizing the in-flight points — the path campaign refills take.
 func TestAskBatchSingleMatchesSerialPath(t *testing.T) {
 	mk := func() *Bayes {
-		b := NewBayes(sphereSpace(), rng.New(31), BayesOpts{InitSamples: 4})
+		b := NewBayes(sphereSpace(), rng.New(31), BayesOpts{initSamples: 4})
 		for i := 0; i < 9; i++ {
 			p := b.Ask()
 			b.Tell(p, sphere(p))
@@ -183,7 +183,7 @@ func TestAskBatchSingleMatchesSerialPath(t *testing.T) {
 func TestSeedNoiseDownWeighting(t *testing.T) {
 	probe := param.Point{"x": 0.3, "y": 0.3}
 	post := func(weight float64) float64 {
-		b := NewBayes(sphereSpace(), rng.New(41), BayesOpts{InitSamples: 2})
+		b := NewBayes(sphereSpace(), rng.New(41), BayesOpts{initSamples: 2})
 		// Local anchor far from the probe keeps the GP standardization
 		// non-degenerate.
 		b.Tell(param.Point{"x": 0.9, "y": 0.9}, 0)
@@ -193,7 +193,9 @@ func TestSeedNoiseDownWeighting(t *testing.T) {
 			b.Seed([]param.Point{probe}, []float64{5}, weight)
 		}
 		b.refit()
-		mu, _ := b.gp.Predict(b.space.ToUnit(probe))
+		u := make([]float64, len(b.space))
+		b.space.ToUnitInto(probe, u)
+		mu, _ := b.gp.Predict(u)
 		return mu
 	}
 	local := post(1)
@@ -276,7 +278,7 @@ func (k flakyKernel) Eval(a, b []float64) float64 {
 func TestAskBatchSurvivesMidBatchModelLoss(t *testing.T) {
 	bad := false
 	b := NewBayes(sphereSpace(), rng.New(51), BayesOpts{
-		InitSamples: 4, Kernel: flakyKernel{bad: &bad},
+		initSamples: 4, kernel: flakyKernel{bad: &bad},
 	})
 	for i := 0; i < 10; i++ {
 		p := b.Ask()

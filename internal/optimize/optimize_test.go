@@ -35,6 +35,16 @@ func cholSolveDense(f *cholFactor, b []float64) []float64 {
 	return x
 }
 
+// at returns L[i][j] (j <= i).
+func (f *cholFactor) at(i, j int) float64 { return f.l[rowOff(i)+j] }
+
+// Predict is one candidate's PredictBatch, the posterior the tests read.
+func (g *GP) Predict(x []float64) (mean, variance float64) {
+	var mu, va [1]float64
+	g.PredictBatch([][]float64{x}, mu[:], va[:], &PredictScratch{})
+	return mu[0], va[0]
+}
+
 func TestCholeskyKnownFactor(t *testing.T) {
 	a := [][]float64{
 		{4, 12, -16},
@@ -120,8 +130,8 @@ func TestCholeskyAppendRowMatchesFull(t *testing.T) {
 
 func TestKernelProperties(t *testing.T) {
 	kernels := []Kernel{
-		RBF{LengthScale: 0.5, Variance: 2},
 		Matern52{LengthScale: 0.5, Variance: 2},
+		Matern52{LengthScale: 0.1, Variance: 2},
 	}
 	f := func(a, b [3]uint8) bool {
 		x := []float64{float64(a[0]) / 255, float64(a[1]) / 255, float64(a[2]) / 255}
@@ -149,7 +159,7 @@ func TestKernelProperties(t *testing.T) {
 }
 
 func TestGPInterpolatesTrainingData(t *testing.T) {
-	g := NewGP(RBF{LengthScale: 0.3, Variance: 1}, 1e-8)
+	g := NewGP(Matern52{LengthScale: 0.3, Variance: 1}, 1e-8)
 	xs := [][]float64{{0.1}, {0.4}, {0.7}, {0.95}}
 	ys := []float64{1, 3, 2, 5}
 	if err := g.Fit(xs, ys); err != nil {
@@ -167,7 +177,7 @@ func TestGPInterpolatesTrainingData(t *testing.T) {
 }
 
 func TestGPUncertaintyGrowsAwayFromData(t *testing.T) {
-	g := NewGP(RBF{LengthScale: 0.1, Variance: 1}, 1e-6)
+	g := NewGP(Matern52{LengthScale: 0.1, Variance: 1}, 1e-6)
 	if err := g.Fit([][]float64{{0.5}}, []float64{1}); err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +189,7 @@ func TestGPUncertaintyGrowsAwayFromData(t *testing.T) {
 }
 
 func TestGPEmptyPredictsPrior(t *testing.T) {
-	g := NewGP(RBF{LengthScale: 0.3, Variance: 1}, 1e-6)
+	g := NewGP(Matern52{LengthScale: 0.3, Variance: 1}, 1e-6)
 	mu, v := g.Predict([]float64{0.3})
 	if mu != 0 || v != 1 {
 		t.Fatalf("empty GP prior = (%v, %v), want (0, 1)", mu, v)
@@ -187,7 +197,7 @@ func TestGPEmptyPredictsPrior(t *testing.T) {
 }
 
 func TestGPDuplicatePointsSurvive(t *testing.T) {
-	g := NewGP(RBF{LengthScale: 0.3, Variance: 1}, 1e-6)
+	g := NewGP(Matern52{LengthScale: 0.3, Variance: 1}, 1e-6)
 	xs := [][]float64{{0.5}, {0.5}, {0.5}}
 	ys := []float64{1, 1.1, 0.9}
 	if err := g.Fit(xs, ys); err != nil {
@@ -213,12 +223,6 @@ func TestExpectedImprovementProperties(t *testing.T) {
 	// EI is non-negative.
 	if ExpectedImprovement(-10, 0.5, 5, 0.01) < 0 {
 		t.Fatal("EI must be non-negative")
-	}
-}
-
-func TestUCBTradeoff(t *testing.T) {
-	if UCB(1, 4, 2) != 5 {
-		t.Fatalf("UCB(1,4,2) = %v, want 5", UCB(1, 4, 2))
 	}
 }
 
@@ -276,7 +280,7 @@ func TestBayesRespectsLattice(t *testing.T) {
 		{Name: "k", Lo: 0, Hi: 10, Step: 1},
 		{Name: "x", Lo: 0, Hi: 1},
 	}
-	b := NewBayes(space, rng.New(12), BayesOpts{InitSamples: 4})
+	b := NewBayes(space, rng.New(12), BayesOpts{initSamples: 4})
 	for i := 0; i < 25; i++ {
 		p := b.Ask()
 		if p["k"] != math.Trunc(p["k"]) {
@@ -386,20 +390,8 @@ func TestBayesDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-func TestUCBAcquisitionMode(t *testing.T) {
-	b := NewBayes(sphereSpace(), rng.New(14), BayesOpts{Acq: AcqUCB})
-	for i := 0; i < 25; i++ {
-		p := b.Ask()
-		b.Tell(p, sphere(p))
-	}
-	_, v := b.Best()
-	if v < 0.8 {
-		t.Fatalf("UCB best = %v, want > 0.8", v)
-	}
-}
-
 func TestMaxFitWindow(t *testing.T) {
-	b := NewBayes(sphereSpace(), rng.New(15), BayesOpts{MaxFit: 20})
+	b := NewBayes(sphereSpace(), rng.New(15), BayesOpts{maxFit: 20})
 	for i := 0; i < 60; i++ {
 		p := b.Ask()
 		b.Tell(p, sphere(p))

@@ -104,7 +104,7 @@ func TestPropertyGPPosteriorSane(t *testing.T) {
 // of what values Tell has seen (including extreme ones).
 func TestPropertyBayesAskInSpace(t *testing.T) {
 	f := func(seed uint32, raw []int8) bool {
-		b := NewBayes(sphereSpace(), rng.New(uint64(seed)), BayesOpts{InitSamples: 3})
+		b := NewBayes(sphereSpace(), rng.New(uint64(seed)), BayesOpts{initSamples: 3})
 		for i, v := range raw {
 			if i > 20 {
 				break

@@ -19,41 +19,51 @@ import (
 // decisions may re-record it.
 const refillGolden uint64 = 0x356026ecc6d50338
 
-// refillDigest runs a deep_campaign-shaped decision loop — the Perovskite
-// 4-d space, three experiments in flight, one AskBatch(1, fly) refill per
-// Tell for 64 steps — and hashes the IEEE bits of every proposed
-// coordinate in dimension order. A closing AskBatch(3, fly) pins the
-// constant-liar batch path too.
+// refillDigest runs refillRun at seed 42 and hashes the IEEE bits of
+// every proposed coordinate in dimension order. A closing AskBatch(3, fly)
+// pins the constant-liar batch path too.
 func refillDigest(workers int) uint64 {
-	m := twin.Perovskite{}
-	space := m.Space()
-	b := NewBayes(space, rng.New(42), BayesOpts{ScoreWorkers: workers})
 	h := fnv.New64a()
 	var buf [8]byte
-	record := func(p param.Point) {
+	var space param.Space
+	record := func(b *Bayes, p param.Point, _ bool) {
+		space = b.space
 		for _, d := range space {
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p[d.Name]))
 			h.Write(buf[:])
 		}
 	}
+	b, fly := refillRun(42, workers, record)
+	for _, p := range b.AskBatch(3, fly) {
+		record(b, p, false)
+	}
+	return h.Sum64()
+}
+
+// refillRun is a deep_campaign-shaped decision loop: the Perovskite 4-d
+// space, three experiments in flight, one AskBatch(1, fly) refill per Tell
+// for 64 steps. each sees every proposal and whether the GP scored it (the
+// Latin-hypercube warm-up serves the first ones).
+func refillRun(seed uint64, workers int, each func(b *Bayes, p param.Point, scored bool)) (*Bayes, []param.Point) {
+	m := twin.Perovskite{}
+	b := NewBayes(m.Space(), rng.New(seed), BayesOpts{scoreWorkers: workers})
+	ask := func(fly []param.Point) []param.Point {
+		scored := len(b.initPlan) == 0
+		p := b.AskBatch(1, fly)[0]
+		each(b, p, scored)
+		return append(fly, p)
+	}
 	var fly []param.Point
 	for len(fly) < 3 {
-		p := b.AskBatch(1, fly)[0]
-		record(p)
-		fly = append(fly, p)
+		fly = ask(fly)
 	}
 	for step := 0; step < 64; step++ {
 		done := fly[0]
 		fly = fly[1:]
 		b.Tell(done, m.Eval(done)["plqy"])
-		p := b.AskBatch(1, fly)[0]
-		record(p)
-		fly = append(fly, p)
+		fly = ask(fly)
 	}
-	for _, p := range b.AskBatch(3, fly) {
-		record(p)
-	}
-	return h.Sum64()
+	return b, fly
 }
 
 // The refill decisions are pinned to a recorded digest, not just to each
@@ -88,7 +98,7 @@ const refillAllocBudget = 11
 // A warm refill allocates a fixed handful of objects, however many
 // candidates it scores.
 func TestAskRefillAllocations(t *testing.T) {
-	bo, fly := refillState(32, BayesOpts{ScoreWorkers: 2})
+	bo, fly := refillState(32, BayesOpts{scoreWorkers: 2})
 	bo.AskBatch(1, fly) // grow the pool, scratch and factor
 	if got := testing.AllocsPerRun(20, func() { bo.AskBatch(1, fly) }); got > refillAllocBudget {
 		t.Fatalf("warm refill allocates %v objects, budget %d", got, refillAllocBudget)
