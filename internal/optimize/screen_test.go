@@ -39,7 +39,7 @@ func checkScreen(t *testing.T, b *Bayes, m, idx int, best float64) []float64 {
 	t.Helper()
 	want, full := fullArgmax(b, m, best)
 	if idx != want {
-		t.Fatalf("screened argmax %d, full argmax %d (scores %v vs %v)", idx, want, at(full, idx), at(full, want))
+		t.Fatalf("screened argmax %d, full argmax %d (scores %v vs %v)", idx, want, scoreAt(full, idx), scoreAt(full, want))
 	}
 	for i, s := range b.cand.scores[:m] {
 		if !math.IsInf(s, -1) && math.Float64bits(s) != math.Float64bits(full[i]) {
@@ -49,7 +49,8 @@ func checkScreen(t *testing.T, b *Bayes, m, idx int, best float64) []float64 {
 	return full
 }
 
-func at(s []float64, i int) float64 {
+// scoreAt is s[i], or NaN for no index.
+func scoreAt(s []float64, i int) float64 {
 	if i < 0 {
 		return math.NaN()
 	}
